@@ -130,29 +130,6 @@ impl VtcModel {
         let v = pixel.clamp(0.0, 1.0).max(self.min_pixel);
         DelayValue::from_delay(-v.ln())
     }
-
-    /// Batch noiseless conversion of a pixel row.
-    ///
-    /// With `tolerant = false` this is an elementwise [`convert_ideal`]
-    /// loop (libm `ln`, bit-identical to the scalar path). With
-    /// `tolerant = true` the clamp-and-`-ln` transfer dispatches through
-    /// the SIMD tiers of `ta-simd` with polynomial `ln` lanes — a few ulp
-    /// from libm, pinned by tolerance tests.
-    ///
-    /// [`convert_ideal`]: VtcModel::convert_ideal
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pixel is not finite.
-    pub fn convert_ideal_row(&self, pixels: &[f64], tolerant: bool) -> Vec<DelayValue> {
-        if tolerant {
-            let mut out = vec![0.0_f64; pixels.len()];
-            ta_simd::vtc_encode_rows(pixels, self.min_pixel, &mut out);
-            out.into_iter().map(DelayValue::from_delay).collect()
-        } else {
-            pixels.iter().map(|&p| self.convert_ideal(p)).collect()
-        }
-    }
 }
 
 /// A behavioural current-starved-inverter transfer curve (Fig 8a).
@@ -369,40 +346,6 @@ mod tests {
                 .collect();
 
             assert_eq!(golden, hoisted, "pre={pre} post={post}");
-        }
-    }
-
-    #[test]
-    fn convert_ideal_row_identical_mode_is_bitwise() {
-        let vtc = VtcModel::ideal(scale());
-        let pixels: Vec<f64> = (0..100).map(|i| f64::from(i) / 99.0).collect();
-        let want: Vec<u64> = pixels
-            .iter()
-            .map(|&p| vtc.convert_ideal(p).delay().to_bits())
-            .collect();
-        let got: Vec<u64> = vtc
-            .convert_ideal_row(&pixels, false)
-            .iter()
-            .map(|v| v.delay().to_bits())
-            .collect();
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn convert_ideal_row_tolerant_mode_is_close() {
-        let vtc = VtcModel::ideal(scale());
-        // Include the boundary pixels: exactly 0, exactly 1 (delay -0.0
-        // flattening is allowed in tolerant mode), below the floor.
-        let mut pixels: Vec<f64> = (0..100).map(|i| f64::from(i) / 99.0).collect();
-        pixels.extend_from_slice(&[0.0, 1.0, 1e-9, 0.5]);
-        let got = vtc.convert_ideal_row(&pixels, true);
-        for (i, (&p, g)) in pixels.iter().zip(&got).enumerate() {
-            let want = vtc.convert_ideal(p).delay();
-            assert!(
-                (g.delay() - want).abs() < 1e-12 * want.abs().max(1.0),
-                "idx {i}: pixel {p} gave {} want {want}",
-                g.delay()
-            );
         }
     }
 

@@ -294,11 +294,8 @@ PARALLELISM (any command):
                     thread count)                          [default: 0]
 
 SIMD (any command):
-  --simd MODE       off | identical | tolerant             [default: identical]
-                    identical: vectorized kernels, bit-for-bit equal to
-                    the scalar engine; tolerant: polynomial exp/ln lanes,
-                    a few ulp from libm; off: scalar golden path
-  --simd-tier TIER  scalar | sse2 | avx2 | neon — pin the ISA tier
+  --simd-tier TIER  scalar | sse2 | avx2 | neon — pin the ISA tier; every
+                    tier is bit-for-bit equal to the scalar engine
                     (default: widest available; errors if unavailable)
 
 OPTIONS (batch — supervised runtime):
@@ -516,14 +513,6 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         return Ok(USAGE.to_string());
     }
     ta_pool::set_threads(args.num("--threads", 0usize)?);
-    if let Some(name) = args.get("--simd") {
-        let mode: ta_simd::SimdMode = name.parse().map_err(|_| {
-            CliError::InvalidConfig(format!(
-                "unknown --simd {name:?}; try: off identical tolerant"
-            ))
-        })?;
-        ta_simd::set_mode(mode);
-    }
     if let Some(name) = args.get("--simd-tier") {
         let tier: ta_simd::SimdTier = name.parse().map_err(|_| {
             CliError::InvalidConfig(format!(

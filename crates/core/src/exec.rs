@@ -72,50 +72,7 @@ pub fn run(
     mode: ArithmeticMode,
     seed: u64,
 ) -> Result<RunResult, ExecError> {
-    let desc = arch.desc();
-    if (image.width(), image.height()) != (desc.image_width(), desc.image_height()) {
-        return Err(ExecError::DimensionMismatch {
-            expected: (desc.image_width(), desc.image_height()),
-            got: (image.width(), image.height()),
-        });
-    }
-
-    let started = Instant::now();
-    let no_faults = FaultMap::new();
-    let mut stats = FaultStats::default();
-    let (outputs, ops, stages) = match mode {
-        ArithmeticMode::ImportanceExact => (run_importance(arch, image), OpCounts::default(), None),
-        // Dispatch once per frame on the profiling flag: the profiling
-        // twin carries the genuine per-leaf/per-cycle counters and the
-        // stage clocks; the common twin runs the bare kernel and takes
-        // its (deterministic, data-independent) op counts from the
-        // closed form instead — validated against the genuine counters
-        // by the census tests, and free on the hot path.
-        _ if ta_telemetry::tracer().profiling() => {
-            let (outputs, ops, stages, cache) =
-                run_delay::<true>(arch, image, mode, seed, &no_faults, &mut stats);
-            census::publish_plan_cache(cache);
-            (outputs, ops, stages)
-        }
-        _ => {
-            let (outputs, _, stages, cache) =
-                run_delay::<false>(arch, image, mode, seed, &no_faults, &mut stats);
-            census::publish_plan_cache(cache);
-            (outputs, census::expected_ops(arch, mode), stages)
-        }
-    };
-
-    let result = RunResult {
-        outputs,
-        energy: arch.energy_per_frame(),
-        timing: arch.timing(),
-        mode,
-        fault_stats: stats,
-        ops,
-        stages,
-    };
-    census::publish_frame(&result, started.elapsed());
-    Ok(result)
+    execute(arch, image, mode, seed, &FaultMap::new(), true)
 }
 
 /// Twin of [`run`] without the telemetry epilogue (no op-count census, no
@@ -136,36 +93,7 @@ pub fn run_uninstrumented(
     mode: ArithmeticMode,
     seed: u64,
 ) -> Result<RunResult, ExecError> {
-    let desc = arch.desc();
-    if (image.width(), image.height()) != (desc.image_width(), desc.image_height()) {
-        return Err(ExecError::DimensionMismatch {
-            expected: (desc.image_width(), desc.image_height()),
-            got: (image.width(), image.height()),
-        });
-    }
-
-    let no_faults = FaultMap::new();
-    let mut stats = FaultStats::default();
-    let (outputs, ops, stages) = match mode {
-        ArithmeticMode::ImportanceExact => (run_importance(arch, image), OpCounts::default(), None),
-        _ => {
-            // The cache census is deliberately dropped: this twin exists
-            // to measure the bare kernel without telemetry work.
-            let (outputs, ops, stages, _) =
-                run_delay::<false>(arch, image, mode, seed, &no_faults, &mut stats);
-            (outputs, ops, stages)
-        }
-    };
-
-    Ok(RunResult {
-        outputs,
-        energy: arch.energy_per_frame(),
-        timing: arch.timing(),
-        mode,
-        fault_stats: stats,
-        ops,
-        stages,
-    })
+    execute(arch, image, mode, seed, &FaultMap::new(), false)
 }
 
 /// Pushes one frame through the architecture with the given faults
@@ -192,6 +120,29 @@ pub fn run_faulty(
     if mode == ArithmeticMode::ImportanceExact {
         return Err(FaultError::UnsupportedMode(mode).into());
     }
+    execute(arch, image, mode, seed, faults, true)
+}
+
+/// The one body behind [`run`], [`run_uninstrumented`] and
+/// [`run_faulty`]: geometry check, dispatch and result assembly.
+///
+/// With `instrumented`, the frame dispatches once on the tracer's
+/// profiling flag: the profiling twin carries the genuine
+/// per-leaf/per-cycle counters and the stage clocks; the common twin
+/// runs the bare kernel and takes its (deterministic, data-independent)
+/// op counts from the closed form instead — validated against the
+/// genuine counters by the census tests, and free on the hot path.
+/// Faults never change those counts: trees are evaluated (and charged)
+/// whether or not their edges fire. Without `instrumented` the common
+/// twin runs and nothing is counted, timed or published.
+fn execute(
+    arch: &Architecture,
+    image: &Image,
+    mode: ArithmeticMode,
+    seed: u64,
+    faults: &FaultMap,
+    instrumented: bool,
+) -> Result<RunResult, ExecError> {
     let desc = arch.desc();
     if (image.width(), image.height()) != (desc.image_width(), desc.image_height()) {
         return Err(ExecError::DimensionMismatch {
@@ -200,23 +151,29 @@ pub fn run_faulty(
         });
     }
 
-    let started = Instant::now();
+    let started = instrumented.then(Instant::now);
     let mut stats = FaultStats {
         sites_injected: faults.len(),
         ..FaultStats::default()
     };
-    let (outputs, ops, stages) = if ta_telemetry::tracer().profiling() {
-        let (outputs, ops, stages, cache) =
-            run_delay::<true>(arch, image, mode, seed, faults, &mut stats);
-        census::publish_plan_cache(cache);
-        (outputs, ops, stages)
-    } else {
-        let (outputs, _, stages, cache) =
-            run_delay::<false>(arch, image, mode, seed, faults, &mut stats);
-        census::publish_plan_cache(cache);
-        // Faults never change the data-independent op counts: trees are
-        // evaluated (and charged) whether or not their edges fire.
-        (outputs, census::expected_ops(arch, mode), stages)
+    let (outputs, ops, stages) = match mode {
+        ArithmeticMode::ImportanceExact => (run_importance(arch, image), OpCounts::default(), None),
+        _ if instrumented && ta_telemetry::tracer().profiling() => {
+            let (outputs, ops, stages, cache) =
+                run_delay::<true>(arch, image, mode, seed, faults, &mut stats);
+            census::publish_plan_cache(cache);
+            (outputs, ops, stages)
+        }
+        _ => {
+            let (outputs, ops, stages, cache) =
+                run_delay::<false>(arch, image, mode, seed, faults, &mut stats);
+            if instrumented {
+                census::publish_plan_cache(cache);
+                (outputs, census::expected_ops(arch, mode), stages)
+            } else {
+                (outputs, ops, stages)
+            }
+        }
     };
 
     let result = RunResult {
@@ -228,7 +185,9 @@ pub fn run_faulty(
         ops,
         stages,
     };
-    census::publish_frame(&result, started.elapsed());
+    if let Some(started) = started {
+        census::publish_frame(&result, started.elapsed());
+    }
     Ok(result)
 }
 
@@ -375,10 +334,6 @@ fn run_delay<const PROF: bool>(
                     .iter()
                     .map(|&p| vtc.convert_with(p, &mut rng, &mut sampler))
                     .collect()
-            } else if simd == SimdMode::Tolerant && pixels.iter().all(|p| p.is_finite()) {
-                // Vectorized encode (polynomial `ln`); the identical
-                // mode keeps the scalar libm path below, bit-for-bit.
-                vtc.convert_ideal_row(pixels, true)
             } else {
                 pixels.iter().map(|&p| vtc.convert_ideal(p)).collect()
             };
@@ -546,7 +501,6 @@ fn run_delay<const PROF: bool>(
                 && tree_drift.is_none()
                 && loop_drift.is_none();
             let exact = mode == ArithmeticMode::DelayExact;
-            let tolerant = simd == SimdMode::Tolerant;
             let mut partials: Vec<DelayValue> = if spine_batch {
                 Vec::new()
             } else {
@@ -623,13 +577,7 @@ fn run_delay<const PROF: bool>(
                         let row = &cell.vals[s_i * ow..(s_i + 1) * ow];
                         let bal = lvl_units[step.spine_bal as usize];
                         if exact {
-                            ta_simd::nlse_exact_rows_inplace(
-                                row,
-                                0.0,
-                                &mut partials_f,
-                                bal,
-                                tolerant,
-                            );
+                            ta_simd::nlse_exact_rows_inplace(row, 0.0, &mut partials_f, bal);
                         } else {
                             arch.nlse_unit().eval_ideal_rows_inplace(
                                 row,
@@ -896,9 +844,8 @@ fn compute_row_cell<const PROF: bool>(
     // in the Exact/Approx ops, so skipping the column loop cannot shift
     // a stream), no weight-fault overlay, no tree-chain drift — and the
     // profiling twin keeps the scalar loop for its per-column clocks
-    // and edge counters. In identical mode the kernels replicate the
-    // scalar engine f64-op for f64-op; the tolerant mode swaps libm
-    // transcendentals for the polynomial lanes.
+    // and edge counters. The kernels replicate the scalar engine f64-op
+    // for f64-op.
     if !PROF && ctx.simd != SimdMode::Off && !ctx.noisy && overlay.is_none() && tree_drift.is_none()
     {
         compute_row_cell_batch(ctx, rp, ky, r, &mut vals);
@@ -1009,16 +956,13 @@ fn fetch_row<'a>(src: Src, leaves: &'a [f64], nodes: &'a [f64], ow: usize) -> &'
 /// cycle one whole output-column row per tree operand, through the
 /// `ta-simd` kernels. Callers guarantee a pure cycle (no noise, no
 /// overlay, no drift), so this is the `TreeOps::Exact` / `TreeOps::Approx`
-/// arithmetic only. In identical mode every kernel replicates the scalar
-/// engine bit-for-bit (same comparator flavors, same balance
-/// short-circuit, libm transcendentals in the exact mode); the tolerant
-/// mode vectorizes the exact mode's `exp`/`ln_1p` with the polynomial
-/// lanes.
+/// arithmetic only. Every kernel replicates the scalar engine
+/// bit-for-bit (same comparator flavors, same balance short-circuit,
+/// libm transcendentals in the exact mode).
 fn compute_row_cell_batch(ctx: &CellCtx<'_>, rp: &RailPlan, ky: usize, r: usize, vals: &mut [f64]) {
     let plan = ctx.arch.plan();
     let unit = ctx.arch.nlse_unit();
     let exact = ctx.mode == ArithmeticMode::DelayExact;
-    let tolerant = ctx.simd == SimdMode::Tolerant;
     let ow = ctx.ow;
     let taps = &rp.taps[ky];
 
@@ -1055,7 +999,7 @@ fn compute_row_cell_batch(ctx: &CellCtx<'_>, rp: &RailPlan, ky: usize, r: usize,
         let au = ctx.lvl_units[node.left_bal as usize];
         let bu = ctx.lvl_units[node.right_bal as usize];
         if exact {
-            ta_simd::nlse_exact_rows(a, au, b, bu, tolerant, out);
+            ta_simd::nlse_exact_rows(a, au, b, bu, out);
         } else {
             unit.eval_ideal_rows(a, au, b, bu, out);
         }

@@ -50,7 +50,6 @@ pub mod gate_engine;
 mod modes;
 pub mod plan;
 pub mod recurrence;
-#[cfg(any(test, feature = "reference"))]
 pub mod reference;
 mod report;
 pub mod seed;

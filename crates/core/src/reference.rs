@@ -13,9 +13,8 @@
 //! faulted, at any worker count. The `plan_equivalence` integration test
 //! pins exactly that.
 //!
-//! Compiled only for tests and under the `reference` feature (the
-//! equivalence test and the `sequential` bench enable it); it never ships
-//! on the production path.
+//! Nothing on the production path calls it: the equivalence test and the
+//! `sequential` bench are its only users.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -32,7 +32,6 @@ impl TreeOps<'_> {
     /// drift perturbs realised delays, not the balancing structure).
     /// The iterative executor pre-applies `K` into the plan's balance
     /// table instead; only the recursive reference engine still asks.
-    #[cfg(any(test, feature = "reference"))]
     pub(crate) fn k(&self) -> f64 {
         match self {
             TreeOps::Exact => 0.0,

@@ -11,12 +11,7 @@
 //! a process-global (`ta_pool::set_threads`), so sweeping it from
 //! concurrently-running `#[test]` functions would race. One function in
 //! its own integration binary gives the sweep a private process.
-//!
-//! Compiled only with `--features reference` (the workspace build enables
-//! it through the root crate's dev profile); a plain
-//! `cargo test -p ta-core` skips this binary.
 
-#![cfg(feature = "reference")]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ta_core::fault::{FaultMap, FaultModel};

@@ -1,10 +1,8 @@
-//! SIMD dispatch parity for the planned executor (ISSUE 9 acceptance
-//! gate, DESIGN.md §5.15): with `SimdMode::Identical` — the default —
-//! the batched kernels must be *bit-identical* to the scalar golden
-//! executor (`SimdMode::Off`) in every [`ArithmeticMode`], with and
-//! without injected faults, at every worker count, and at every forced
-//! ISA tier. `SimdMode::Tolerant` swaps libm transcendentals for the
-//! polynomial lanes and is pinned by an nRMSE bound instead.
+//! SIMD dispatch parity for the planned executor (DESIGN.md §5.15): with
+//! `SimdMode::Identical` — the default — the batched kernels must be
+//! *bit-identical* to the scalar golden executor (`SimdMode::Off`) in
+//! every [`ArithmeticMode`], with and without injected faults, at every
+//! worker count, and at the detected and the forced-scalar ISA tier.
 //!
 //! Everything lives in ONE test function on purpose: both the worker
 //! count (`ta_pool::set_threads`) and the SIMD mode/tier
@@ -32,24 +30,6 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, what: &str) {
         }
     }
     assert_eq!(a.fault_stats, b.fault_stats, "{what}: fault stats");
-}
-
-/// Root-mean-square error normalised by the golden output's value range.
-fn nrmse(golden: &RunResult, got: &RunResult) -> f64 {
-    let mut sum_sq = 0.0;
-    let mut n = 0usize;
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for (ia, ib) in golden.outputs.iter().zip(&got.outputs) {
-        for (&pa, &pb) in ia.pixels().iter().zip(ib.pixels()) {
-            sum_sq += (pa - pb) * (pa - pb);
-            n += 1;
-            lo = lo.min(pa);
-            hi = hi.max(pa);
-        }
-    }
-    let range = (hi - lo).max(f64::MIN_POSITIVE);
-    (sum_sq / n as f64).sqrt() / range
 }
 
 #[test]
@@ -116,18 +96,6 @@ fn simd_modes_agree_with_scalar_executor() {
                     let ident_scalar = run_leg("scalar-tier run");
                     assert_bit_identical(&golden, &ident_scalar, &what("identical@scalar"));
                     ta_simd::force_tier(None).expect("clearing the override");
-
-                    // Tolerant mode: polynomial transcendentals, pinned
-                    // by normalised RMSE against the golden output.
-                    ta_simd::set_mode(SimdMode::Tolerant);
-                    let tol = run_leg("tolerant run");
-                    let err = nrmse(&golden, &tol);
-                    assert!(
-                        err < 1e-9,
-                        "{}: nRMSE {err:e} out of tolerance",
-                        what("tolerant@detected")
-                    );
-                    ta_simd::set_mode(SimdMode::Identical);
                 }
             }
         }

@@ -142,54 +142,6 @@ pub fn nlse_many(values: &[DelayValue]) -> DelayValue {
     DelayValue::from_delay(m.delay() - acc.ln())
 }
 
-/// Batch n-ary exact nLSE over raw delays, dispatched through the SIMD
-/// tiers of `ta-simd`.
-///
-/// With `tolerant = false` this is bit-for-bit [`nlse_many`]: the pivot
-/// scan vectorizes (total-order min is bit-exact in any association
-/// order) while the `Σ exp` accumulation stays scalar, in slice order,
-/// with libm `exp`, including the `EXP_UNDERFLOW` skip and the
-/// min-domination shortcut. With `tolerant = true` the accumulation runs
-/// in four fixed exp-polynomial stripes — tier-independent, but pinned
-/// against [`nlse_many`] only by tolerance (see the property tests).
-#[must_use]
-pub fn nlse_many_batch(values: &[DelayValue], tolerant: bool) -> DelayValue {
-    let delays: Vec<f64> = values.iter().map(|v| v.delay()).collect();
-    DelayValue::from_delay(ta_simd::nlse_fold(&delays, EXP_UNDERFLOW, tolerant))
-}
-
-/// Batch elementwise [`nlde`] over two rows, dispatched through the SIMD
-/// tiers of `ta-simd`.
-///
-/// With `tolerant = false` each element is bit-for-bit `nlde(xs[i],
-/// ys[i])`, including the mixed comparator semantics (total-order
-/// dominance check, numeric equality shortcut). With `tolerant = true`
-/// the transcendentals vectorize with the polynomial lanes.
-///
-/// # Errors
-///
-/// [`NormalizeError`] if any element's second operand encodes a larger
-/// importance than its first — the same condition under which [`nlde`]
-/// errors elementwise.
-///
-/// # Panics
-///
-/// If `xs` and `ys` differ in length.
-pub fn nlde_rows(
-    xs: &[DelayValue],
-    ys: &[DelayValue],
-    tolerant: bool,
-) -> Result<Vec<DelayValue>, NormalizeError> {
-    assert_eq!(xs.len(), ys.len(), "row length mismatch");
-    let xf: Vec<f64> = xs.iter().map(|v| v.delay()).collect();
-    let yf: Vec<f64> = ys.iter().map(|v| v.delay()).collect();
-    let mut out = vec![0.0_f64; xs.len()];
-    ta_simd::nlde_rows(&xf, &yf, tolerant, &mut out).map_err(|_| NormalizeError {
-        dominant_is_second: true,
-    })?;
-    Ok(out.into_iter().map(DelayValue::from_delay).collect())
-}
-
 /// Rescales a delay-space value by shifting its reference point.
 ///
 /// Adding a constant delay `delta` to a value multiplies it by `e^-delta`

@@ -288,98 +288,3 @@ proptest! {
         prop_assert_eq!(fast.is_never(), slow.is_never());
     }
 }
-
-/// Operands for the batch-vs-scalar parity tests: everything
-/// `shortcut_value` covers plus signed zeros, subnormal-delay values, and
-/// spreads landing within ±1 ulp of the `EXP_UNDERFLOW` cutoff (−745.2)
-/// relative to a zero pivot, where skip-vs-accumulate must not flip
-/// between the scalar and vectorized paths.
-fn batch_value() -> impl Strategy<Value = DelayValue> {
-    let cutoff = 745.2_f64;
-    prop_oneof![
-        6 => (-50.0..800.0_f64).prop_map(DelayValue::from_delay),
-        1 => Just(DelayValue::ZERO),
-        1 => Just(DelayValue::from_delay(0.0)),
-        1 => Just(DelayValue::from_delay(-0.0)),
-        1 => Just(DelayValue::from_delay(f64::MIN_POSITIVE / 8.0)),
-        1 => Just(DelayValue::from_delay(cutoff)),
-        1 => Just(DelayValue::from_delay(f64::from_bits(cutoff.to_bits() + 1))),
-        1 => Just(DelayValue::from_delay(f64::from_bits(cutoff.to_bits() - 1))),
-    ]
-}
-
-proptest! {
-    #[test]
-    fn nlse_many_batch_identical_is_bit_identical(
-        vals in proptest::collection::vec(batch_value(), 0..16)
-    ) {
-        let scalar = ops::nlse_many(&vals);
-        let batch = ops::nlse_many_batch(&vals, false);
-        prop_assert_eq!(scalar.delay().to_bits(), batch.delay().to_bits());
-    }
-
-    #[test]
-    fn nlse_many_batch_tolerant_stays_close(
-        vals in proptest::collection::vec(batch_value(), 1..16)
-    ) {
-        let scalar = ops::nlse_many(&vals);
-        let batch = ops::nlse_many_batch(&vals, true);
-        if scalar.is_never() {
-            prop_assert!(batch.is_never());
-        } else if scalar.delay().abs() > 1e-300 && scalar.delay().is_finite() {
-            let rel = ((batch.delay() - scalar.delay()) / scalar.delay()).abs();
-            prop_assert!(rel < 1e-11, "batch {} vs scalar {}", batch.delay(), scalar.delay());
-        } else {
-            prop_assert!((batch.delay() - scalar.delay()).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn nlde_rows_identical_matches_elementwise(
-        pairs in proptest::collection::vec((batch_value(), batch_value()), 0..16)
-    ) {
-        // Order each pair so most rows are valid, but keep the raw order
-        // for a fraction to exercise the error path.
-        let xs: Vec<DelayValue> = pairs.iter().map(|&(a, b)| a.min(b)).collect();
-        let ys: Vec<DelayValue> = pairs.iter().map(|&(a, b)| a.max(b)).collect();
-        let want: Vec<DelayValue> = xs
-            .iter()
-            .zip(&ys)
-            .map(|(&x, &y)| ops::nlde(x, y).unwrap())
-            .collect();
-        let got = ops::nlde_rows(&xs, &ys, false).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.delay().to_bits(), w.delay().to_bits());
-        }
-
-        // The unsorted raw order must error exactly when elementwise does.
-        let raw_x: Vec<DelayValue> = pairs.iter().map(|p| p.0).collect();
-        let raw_y: Vec<DelayValue> = pairs.iter().map(|p| p.1).collect();
-        let scalar_err = raw_x
-            .iter()
-            .zip(&raw_y)
-            .any(|(&x, &y)| ops::nlde(x, y).is_err());
-        let batch = ops::nlde_rows(&raw_x, &raw_y, false);
-        prop_assert_eq!(batch.is_err(), scalar_err);
-    }
-
-    #[test]
-    fn nlde_rows_tolerant_stays_close(
-        pairs in proptest::collection::vec((batch_value(), batch_value()), 1..16)
-    ) {
-        let xs: Vec<DelayValue> = pairs.iter().map(|&(a, b)| a.min(b)).collect();
-        let ys: Vec<DelayValue> = pairs.iter().map(|&(a, b)| a.max(b)).collect();
-        let got = ops::nlde_rows(&xs, &ys, true).unwrap();
-        for ((&x, &y), g) in xs.iter().zip(&ys).zip(&got) {
-            let want = ops::nlde(x, y).unwrap();
-            if want.is_never() {
-                prop_assert!(g.is_never());
-            } else if want.delay().abs() > 1e-300 && want.delay().is_finite() {
-                let rel = ((g.delay() - want.delay()) / want.delay()).abs();
-                prop_assert!(rel < 1e-11, "batch {} vs scalar {}", g.delay(), want.delay());
-            } else {
-                prop_assert!((g.delay() - want.delay()).abs() < 1e-11);
-            }
-        }
-    }
-}

@@ -72,14 +72,9 @@ pub fn configured_threads() -> usize {
 /// The effective default worker count: the [`set_threads`] override if
 /// one is installed, otherwise `available_parallelism` (1 if unknown).
 pub fn default_threads() -> usize {
-    resolve(configured_threads())
-}
-
-fn resolve(requested: usize) -> usize {
-    if requested != 0 {
-        requested
-    } else {
-        thread::available_parallelism().map_or(1, |n| n.get())
+    match configured_threads() {
+        0 => thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 
@@ -135,7 +130,11 @@ impl Pool {
     /// A pool with `threads` workers; `0` means [`default_threads`].
     pub fn new(threads: usize) -> Self {
         Pool {
-            threads: resolve(threads),
+            threads: if threads == 0 {
+                default_threads()
+            } else {
+                threads
+            },
         }
     }
 
@@ -470,9 +469,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
+    fn zero_threads_resolves_to_default_threads() {
         assert!(Pool::new(0).threads() >= 1);
         assert_eq!(Pool::new(5).threads(), 5);
+    }
+
+    #[test]
+    fn current_pool_honours_set_threads() {
+        // `Pool::new(0)` must read the `set_threads` override, or
+        // `tconv --threads` changes nothing.
+        let before = configured_threads();
+        set_threads(1);
+        let one = Pool::current().threads();
+        set_threads(3);
+        let three = Pool::new(0).threads();
+        set_threads(before);
+        assert_eq!(one, 1);
+        assert_eq!(three, 3);
     }
 
     #[test]

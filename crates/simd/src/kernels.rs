@@ -6,19 +6,12 @@
 //! `#[inline(always)]`, so the intrinsics inline into the feature-enabled
 //! wrapper and codegen with the wrapper's ISA.
 //!
-//! Bit-level contracts:
-//!
-//! * Identical-mode kernels (`nlse_approx_rows_raw`, `weighted_leaves_raw`,
-//!   `add_units_raw`, `total_min_raw`) use only IEEE add/compare/select,
-//!   which are correctly rounded and therefore produce the same bits in
-//!   every tier *and* the same bits as the scalar `DelayValue` engine.
-//!   The comparator is the total-order `<=` (see [`Lanes::total_le`]).
-//! * Tolerant-mode kernels (`nlse_exact_rows_tolerant_raw`,
-//!   `nlde_rows_tolerant_raw`, `vtc_encode_raw`, `exp_sum_striped_raw`,
-//!   and the `vexp`/`vln`/`vln_1p` slice maps) use the polynomial
-//!   transcendentals of [`crate::scalar`] evaluated in the identical f64
-//!   operation order, so lanes and remainder tails still agree bitwise
-//!   across tiers; only the contract *against libm* is a tolerance.
+//! Bit-level contract: the kernels (`nlse_approx_rows_raw`,
+//! `weighted_leaves_raw`, `add_units_raw`) use only IEEE
+//! add/compare/select, which are correctly rounded and therefore produce
+//! the same bits in every tier *and* the same bits as the scalar
+//! `DelayValue` engine. The comparator is the total-order `<=` (see
+//! [`Lanes::total_le`]).
 //!
 //! Raw pointers are used (rather than slices) so the in-place forms can
 //! alias an input row with the output row without violating `&`/`&mut`
@@ -26,15 +19,12 @@
 
 use crate::scalar;
 
-const SIGN_BIT: u64 = 0x8000_0000_0000_0000;
-const NEG_ZERO_BITS: u64 = SIGN_BIT;
+const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
 const POS_ZERO_BITS: u64 = 0;
-/// `1.5 · 2^52` — see [`Lanes::to_pow2`].
-const POW2_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// One SIMD register of f64 lanes plus the operations the kernels need.
 ///
-/// Mask-producing operations (`le`, `eq`, `total_le`, …) return a value of
+/// Mask-producing operations (`le`, `gt`, `total_le`, …) return a value of
 /// the same register type whose lanes are all-ones or all-zero bit
 /// patterns, consumed by [`Lanes::blend`].
 ///
@@ -57,59 +47,20 @@ pub(crate) trait Lanes: Copy {
     unsafe fn storeu(self, p: *mut f64);
     /// Lanewise `self + o`.
     unsafe fn add(self, o: Self) -> Self;
-    /// Lanewise `self - o`.
-    unsafe fn sub(self, o: Self) -> Self;
-    /// Lanewise `self * o`.
-    unsafe fn mul(self, o: Self) -> Self;
-    /// Lanewise `self / o`.
-    unsafe fn div(self, o: Self) -> Self;
     /// IEEE `self <= o` mask.
     unsafe fn le(self, o: Self) -> Self;
-    /// IEEE `self < o` mask.
-    unsafe fn lt(self, o: Self) -> Self;
     /// IEEE `self >= o` mask.
     unsafe fn ge(self, o: Self) -> Self;
     /// IEEE `self > o` mask.
     unsafe fn gt(self, o: Self) -> Self;
-    /// IEEE `self == o` mask (numeric: `+0 == -0`, NaN never equal).
-    unsafe fn eq(self, o: Self) -> Self;
     /// Bitwise AND.
     unsafe fn and(self, o: Self) -> Self;
-    /// Bitwise OR.
-    unsafe fn or(self, o: Self) -> Self;
-    /// Bitwise XOR.
-    unsafe fn xor(self, o: Self) -> Self;
     /// Bitwise `(!self) & o`, matching `_mm_andnot_pd` operand order.
     unsafe fn andnot(self, o: Self) -> Self;
     /// Per-lane `mask ? a : b`; mask lanes must be all-ones or all-zero.
     unsafe fn blend(mask: Self, a: Self, b: Self) -> Self;
-    /// Lanewise 64-bit integer add on the raw bits.
-    unsafe fn i64_add(self, o: Self) -> Self;
-    /// Lanewise 64-bit integer subtract on the raw bits.
-    unsafe fn i64_sub(self, o: Self) -> Self;
-    /// Lanewise logical shift left by 52 on the raw bits.
-    unsafe fn shl52(self) -> Self;
-    /// Lanewise logical shift right by 52 on the raw bits.
-    unsafe fn shr52(self) -> Self;
     /// Lanewise 64-bit integer equality mask on the raw bits.
     unsafe fn i64_eq(self, o: Self) -> Self;
-    /// Lanewise `floor`, exact for `|x| < 2^31` (garbage lanes allowed —
-    /// never a fault — outside that range; callers mask them).
-    unsafe fn floor_small(self) -> Self;
-    /// True if any mask lane is set.
-    unsafe fn any(self) -> bool;
-
-    /// Lanewise negation by sign-bit flip (`-0.0` semantics of unary `-`).
-    #[inline(always)]
-    unsafe fn neg(self) -> Self {
-        unsafe { self.xor(Self::splat_bits(SIGN_BIT)) }
-    }
-
-    /// Bitwise NOT of a mask.
-    #[inline(always)]
-    unsafe fn not(self) -> Self {
-        unsafe { self.andnot(Self::splat_bits(u64::MAX)) }
-    }
 
     /// Total-order `self <= o` for non-NaN lanes: IEEE `<=` corrected on
     /// the one case where it disagrees with `f64::total_cmp`, namely
@@ -124,192 +75,12 @@ pub(crate) trait Lanes: Copy {
             bad.andnot(ieee)
         }
     }
-
-    /// `2^n` for integer-valued lanes `n ∈ [-1022, 1024]` via direct
-    /// exponent-field construction (the `+1.5·2^52` float→int magic —
-    /// the extra half-binade keeps `n + magic` inside `[2^52, 2^53)` for
-    /// negative `n`, so the bit subtraction recovers `n` in two's
-    /// complement); `1024` yields `+∞`, which the exp kernel's overflow
-    /// step-down exploits.
-    #[inline(always)]
-    unsafe fn to_pow2(self) -> Self {
-        unsafe {
-            let t = self.add(Self::splat(POW2_MAGIC));
-            let n = t.i64_sub(Self::splat_bits(POW2_MAGIC.to_bits()));
-            n.i64_add(Self::splat_bits(1023)).shl52()
-        }
-    }
-}
-
-// --- lane transcendentals (same operation order as crate::scalar) ------
-
-const EXP_C1: f64 = 6.931_457_519_531_25E-1;
-const EXP_C2: f64 = 1.428_606_820_309_417_2E-6;
-// Cephes coefficients kept digit-for-digit; the trailing digits are
-// value-preserving but document the published tables.
-#[allow(clippy::excessive_precision)]
-const EXP_P: [f64; 3] = [
-    1.261_771_930_748_105_9E-4,
-    3.029_944_077_074_419_6E-2,
-    9.999_999_999_999_999_9E-1,
-];
-#[allow(clippy::excessive_precision)]
-const EXP_Q: [f64; 4] = [
-    3.001_985_051_386_644_6E-6,
-    2.524_483_403_496_841E-3,
-    2.272_655_482_081_550_3E-1,
-    2.000_000_000_000_000_2E0,
-];
-const EXP_HI: f64 = 709.782_712_893_384;
-const EXP_LO: f64 = -745.133_219_101_941_2;
-const TWO_NEG_54: f64 = 5.551_115_123_125_783e-17;
-const LN_P: [f64; 6] = [
-    1.018_756_638_045_809_3E-4,
-    4.974_949_949_767_47E-1,
-    4.705_791_198_788_817E0,
-    1.449_892_253_416_109_3E1,
-    1.793_686_785_078_198_2E1,
-    7.708_387_337_558_854E0,
-];
-const LN_Q: [f64; 5] = [
-    1.128_735_871_891_674_5E1,
-    4.522_791_458_375_322E1,
-    8.298_752_669_127_766E1,
-    7.115_447_506_185_639E1,
-    2.312_516_201_267_653_4E1,
-];
-const SQRTH: f64 = std::f64::consts::FRAC_1_SQRT_2;
-const LN2_LO: f64 = 2.121_944_400_546_905_8E-4;
-const LN2_HI: f64 = 0.693_359_375;
-const TWO_POW_54: f64 = 18_014_398_509_481_984.0;
-
-/// Lane `exp`, mirroring [`scalar::exp_one`] operation for operation.
-#[inline(always)]
-unsafe fn exp_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let hi_mask = x.gt(V::splat(EXP_HI));
-        let lo_mask = x.lt(V::splat(EXP_LO));
-        let not_nan = x.eq(x);
-        let n = x
-            .mul(V::splat(std::f64::consts::LOG2_E))
-            .add(V::splat(0.5))
-            .floor_small();
-        let r = x.sub(n.mul(V::splat(EXP_C1)));
-        let r = r.sub(n.mul(V::splat(EXP_C2)));
-        let xx = r.mul(r);
-        let p = r.mul(
-            V::splat(EXP_P[0])
-                .mul(xx)
-                .add(V::splat(EXP_P[1]))
-                .mul(xx)
-                .add(V::splat(EXP_P[2])),
-        );
-        let q = V::splat(EXP_Q[0])
-            .mul(xx)
-            .add(V::splat(EXP_Q[1]))
-            .mul(xx)
-            .add(V::splat(EXP_Q[2]))
-            .mul(xx)
-            .add(V::splat(EXP_Q[3]));
-        let e = p.div(q.sub(p));
-        let y = e.add(e).add(V::splat(1.0));
-        // Overflow step-down (n == 1024) and subnormal step-up (n < -1022),
-        // as in the scalar companion. Garbage lanes (|x| outside the
-        // cutoffs) are masked below and integer ops never fault.
-        let n_hi = n.ge(V::splat(1024.0));
-        let n_lo = n.lt(V::splat(-1022.0));
-        let n_adj = V::blend(
-            n_hi,
-            n.sub(V::splat(1.0)),
-            V::blend(n_lo, n.add(V::splat(54.0)), n),
-        );
-        let y = y.mul(n_adj.to_pow2());
-        let y = V::blend(
-            n_hi,
-            y.add(y),
-            V::blend(n_lo, y.mul(V::splat(TWO_NEG_54)), y),
-        );
-        let y = V::blend(hi_mask, V::splat(f64::INFINITY), y);
-        let y = V::blend(lo_mask, V::splat(0.0), y);
-        V::blend(not_nan, y, x)
-    }
-}
-
-/// Lane `ln`, mirroring [`scalar::ln_one`] operation for operation.
-#[inline(always)]
-unsafe fn ln_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let zero_mask = x.eq(V::splat(0.0));
-        let neg_mask = x.lt(V::splat(0.0));
-        let inf_mask = x.eq(V::splat(f64::INFINITY));
-        let not_nan = x.eq(x);
-        let tiny = x.lt(V::splat(f64::MIN_POSITIVE)).and(x.gt(V::splat(0.0)));
-        let xs = V::blend(tiny, x.mul(V::splat(TWO_POW_54)), x);
-        let e_adj = V::blend(tiny, V::splat(-54.0), V::splat(0.0));
-        let e_raw = xs.shr52().and(V::splat_bits(0x7ff));
-        let e = e_raw
-            .or(V::splat_bits(scalar::TWO_POW_52.to_bits()))
-            .sub(V::splat(scalar::TWO_POW_52))
-            .sub(V::splat(1022.0))
-            .add(e_adj);
-        let f = xs
-            .and(V::splat_bits(0x000F_FFFF_FFFF_FFFF))
-            .or(V::splat_bits(0x3FE0_0000_0000_0000));
-        let small = f.lt(V::splat(SQRTH));
-        let e = e.sub(V::blend(small, V::splat(1.0), V::splat(0.0)));
-        let z = V::blend(small, f.add(f).sub(V::splat(1.0)), f.sub(V::splat(1.0)));
-        let zz = z.mul(z);
-        let py = V::splat(LN_P[0])
-            .mul(z)
-            .add(V::splat(LN_P[1]))
-            .mul(z)
-            .add(V::splat(LN_P[2]))
-            .mul(z)
-            .add(V::splat(LN_P[3]))
-            .mul(z)
-            .add(V::splat(LN_P[4]))
-            .mul(z)
-            .add(V::splat(LN_P[5]));
-        let qy = z
-            .add(V::splat(LN_Q[0]))
-            .mul(z)
-            .add(V::splat(LN_Q[1]))
-            .mul(z)
-            .add(V::splat(LN_Q[2]))
-            .mul(z)
-            .add(V::splat(LN_Q[3]))
-            .mul(z)
-            .add(V::splat(LN_Q[4]));
-        let y = z.mul(zz.mul(py).div(qy));
-        let y = y.sub(e.mul(V::splat(LN2_LO)));
-        let y = y.sub(V::splat(0.5).mul(zz));
-        let r = z.add(y);
-        let r = r.add(e.mul(V::splat(LN2_HI)));
-        let r = V::blend(zero_mask, V::splat(f64::NEG_INFINITY), r);
-        let r = V::blend(neg_mask, V::splat(f64::NAN), r);
-        let r = V::blend(inf_mask, V::splat(f64::INFINITY), r);
-        V::blend(not_nan, r, x)
-    }
-}
-
-/// Lane `ln(1 + x)`, mirroring [`scalar::ln_1p_one`].
-#[inline(always)]
-unsafe fn ln_1p_lanes<V: Lanes>(x: V) -> V {
-    unsafe {
-        let u = V::splat(1.0).add(x);
-        let eq1 = u.eq(V::splat(1.0));
-        let d = u.sub(V::splat(1.0));
-        let r = ln_lanes(u).mul(x.div(d));
-        let r = V::blend(eq1, x, r);
-        let r = V::blend(x.eq(V::splat(f64::INFINITY)), V::splat(f64::INFINITY), r);
-        V::blend(x.eq(x), r, x)
-    }
 }
 
 // --- slice kernels ------------------------------------------------------
 
 /// In-place `xs[i] += delta` (the unconditional `DelayValue::delayed`
-/// semantics: `+0.0` flattens `-0.0`). Identical-mode safe.
+/// semantics: `+0.0` flattens `-0.0`).
 #[inline(always)]
 pub(crate) unsafe fn add_units_raw<V: Lanes>(p: *mut f64, delta: f64, n: usize) {
     unsafe {
@@ -328,7 +99,7 @@ pub(crate) unsafe fn add_units_raw<V: Lanes>(p: *mut f64, delta: f64, n: usize) 
 
 /// Weighted leaf fill: `out[i] = px[i * stride] + w`, truncated to `+∞`
 /// above `truncate_at`. Strides > 1 use a scalar gather with the same
-/// formula. Identical-mode safe.
+/// formula.
 #[inline(always)]
 pub(crate) unsafe fn weighted_leaves_raw<V: Lanes>(
     px: *const f64,
@@ -365,7 +136,6 @@ pub(crate) unsafe fn weighted_leaves_raw<V: Lanes>(
 /// latency `k`: `out[i] = eval(a[i] ⊕ au, b[i] ⊕ bu) + k`, where `⊕`
 /// applies the balance add unless the unit count is exactly `0.0`.
 /// `out` may alias `a` or `b` (in-place spine accumulate).
-/// Identical-mode safe: add/compare/select only.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) unsafe fn nlse_approx_rows_raw<V: Lanes>(
@@ -410,230 +180,6 @@ pub(crate) unsafe fn nlse_approx_rows_raw<V: Lanes>(
     }
 }
 
-/// Batched exact nLSE in the tolerant contract (polynomial `exp`/`ln_1p`
-/// lanes). `out` may alias `a` or `b`.
-#[inline(always)]
-pub(crate) unsafe fn nlse_exact_rows_tolerant_raw<V: Lanes>(
-    a: *const f64,
-    au: f64,
-    b: *const f64,
-    bu: f64,
-    out: *mut f64,
-    n: usize,
-) {
-    unsafe {
-        let inf = V::splat(f64::INFINITY);
-        let ninf = V::splat(f64::NEG_INFINITY);
-        let mut i = 0;
-        while i + V::LANES <= n {
-            let mut x = V::loadu(a.add(i));
-            let mut y = V::loadu(b.add(i));
-            if au != 0.0 {
-                x = x.add(V::splat(au));
-            }
-            if bu != 0.0 {
-                y = y.add(V::splat(bu));
-            }
-            let mk = x.total_le(y);
-            let m = V::blend(mk, x, y);
-            let big = V::blend(mk, y, x);
-            let d = big.sub(m);
-            let l = ln_1p_lanes(exp_lanes(d.neg()));
-            let r = m.sub(l);
-            let r = V::blend(big.eq(inf), m, r);
-            let r = V::blend(m.eq(ninf), m, r);
-            r.storeu(out.add(i));
-            i += V::LANES;
-        }
-        while i < n {
-            *out.add(i) = scalar::nlse_exact_one_tolerant(*a.add(i), au, *b.add(i), bu);
-            i += 1;
-        }
-    }
-}
-
-/// Batched exact nLDE in the tolerant contract. Returns `true` if any
-/// element had its dominant operand second (the `ops::nlde` error case,
-/// checked with the total-order comparator *before* the numeric-equality
-/// never shortcut, exactly like the scalar operator). Output lanes for
-/// erroneous elements are unspecified; callers discard the row on error.
-#[inline(always)]
-pub(crate) unsafe fn nlde_rows_tolerant_raw<V: Lanes>(
-    xs: *const f64,
-    ys: *const f64,
-    out: *mut f64,
-    n: usize,
-) -> bool {
-    unsafe {
-        let inf = V::splat(f64::INFINITY);
-        let mut err = V::splat_bits(0);
-        let mut i = 0;
-        while i + V::LANES <= n {
-            let x = V::loadu(xs.add(i));
-            let y = V::loadu(ys.add(i));
-            err = err.or(x.total_le(y).not());
-            let d = y.sub(x);
-            let l = ln_1p_lanes(exp_lanes(d.neg()).neg());
-            let r = x.sub(l);
-            let r = V::blend(y.eq(inf), x, r);
-            let r = V::blend(x.eq(y), inf, r);
-            r.storeu(out.add(i));
-            i += V::LANES;
-        }
-        let mut any_err = err.any();
-        while i < n {
-            match scalar::nlde_one_tolerant(*xs.add(i), *ys.add(i)) {
-                Ok(v) => *out.add(i) = v,
-                Err(()) => {
-                    *out.add(i) = f64::INFINITY;
-                    any_err = true;
-                }
-            }
-            i += 1;
-        }
-        any_err
-    }
-}
-
-/// Total-order minimum of a slice; `+∞` (never) for the empty slice.
-/// Bit-exact in any association order because total-order ties are
-/// bit-identical. Identical-mode safe: this is the `nlse_many` pivot.
-#[inline(always)]
-pub(crate) unsafe fn total_min_raw<V: Lanes>(p: *const f64, n: usize) -> f64 {
-    unsafe {
-        let mut acc = V::splat(f64::INFINITY);
-        let mut i = 0;
-        while i + V::LANES <= n {
-            let v = V::loadu(p.add(i));
-            acc = V::blend(v.total_le(acc), v, acc);
-            i += V::LANES;
-        }
-        let mut buf = [f64::INFINITY; 8];
-        acc.storeu(buf.as_mut_ptr());
-        let mut m = f64::INFINITY;
-        for &lane in buf.iter().take(V::LANES) {
-            if scalar::total_le(lane, m) {
-                m = lane;
-            }
-        }
-        while i < n {
-            let v = *p.add(i);
-            if scalar::total_le(v, m) {
-                m = v;
-            }
-            i += 1;
-        }
-        m
-    }
-}
-
-/// The tolerant `nlse_many` accumulation: `Σ exp(pivot - v)` over lanes,
-/// striped into **four** fixed accumulators regardless of tier (lane `i`
-/// feeds stripe `i % 4`), so the reassociation — and therefore the bits —
-/// is the same for scalar, SSE2 and AVX2 runs of the same data. Terms with
-/// `pivot - v < cutoff` contribute exactly `+0.0` (never operands fall out
-/// of the same test: their spread is `-∞`).
-#[inline(always)]
-pub(crate) unsafe fn exp_sum_striped_raw<V: Lanes>(
-    p: *const f64,
-    n: usize,
-    pivot: f64,
-    cutoff: f64,
-) -> [f64; 4] {
-    unsafe {
-        debug_assert!(V::LANES <= 4 && 4 % V::LANES == 0);
-        let regs = 4 / V::LANES;
-        let mut accs = [V::splat(0.0); 4];
-        let pv = V::splat(pivot);
-        let cv = V::splat(cutoff);
-        let zero = V::splat(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            for (r, acc) in accs.iter_mut().enumerate().take(regs) {
-                let v = V::loadu(p.add(i + r * V::LANES));
-                let d = pv.sub(v);
-                let e = V::blend(d.ge(cv), exp_lanes(d), zero);
-                *acc = acc.add(e);
-            }
-            i += 4;
-        }
-        let mut stripes = [0.0_f64; 4];
-        for (r, acc) in accs.iter().enumerate().take(regs) {
-            acc.storeu(stripes.as_mut_ptr().add(r * V::LANES));
-        }
-        while i < n {
-            let d = pivot - *p.add(i);
-            if d >= cutoff {
-                stripes[i % 4] += scalar::exp_one(d);
-            }
-            i += 1;
-        }
-        stripes
-    }
-}
-
-/// Batched VTC ideal encode in the tolerant contract: clamp to `[0, 1]`
-/// (SSE select semantics), floor at `min_pixel`, `-ln` via lanes.
-#[inline(always)]
-pub(crate) unsafe fn vtc_encode_raw<V: Lanes>(
-    px: *const f64,
-    min_pixel: f64,
-    out: *mut f64,
-    n: usize,
-) {
-    unsafe {
-        let lo = V::splat(0.0);
-        let hi = V::splat(1.0);
-        let mp = V::splat(min_pixel);
-        let mut i = 0;
-        while i + V::LANES <= n {
-            let v = V::loadu(px.add(i));
-            // max_sse(v, 0): v > 0 ? v : 0 — second operand on ties.
-            let v = V::blend(v.gt(lo), v, lo);
-            let v = V::blend(v.lt(hi), v, hi);
-            let v = V::blend(v.gt(mp), v, mp);
-            ln_lanes(v).neg().storeu(out.add(i));
-            i += V::LANES;
-        }
-        while i < n {
-            *out.add(i) = scalar::vtc_encode_one(*px.add(i), min_pixel);
-            i += 1;
-        }
-    }
-}
-
-/// Slice map `out[i] = exp(xs[i])` (tolerant contract).
-#[inline(always)]
-pub(crate) unsafe fn vexp_raw<V: Lanes>(xs: *const f64, out: *mut f64, n: usize) {
-    unsafe {
-        let mut i = 0;
-        while i + V::LANES <= n {
-            exp_lanes(V::loadu(xs.add(i))).storeu(out.add(i));
-            i += V::LANES;
-        }
-        while i < n {
-            *out.add(i) = scalar::exp_one(*xs.add(i));
-            i += 1;
-        }
-    }
-}
-
-/// Slice map `out[i] = ln(xs[i])` (tolerant contract).
-#[inline(always)]
-pub(crate) unsafe fn vln_raw<V: Lanes>(xs: *const f64, out: *mut f64, n: usize) {
-    unsafe {
-        let mut i = 0;
-        while i + V::LANES <= n {
-            ln_lanes(V::loadu(xs.add(i))).storeu(out.add(i));
-            i += V::LANES;
-        }
-        while i < n {
-            *out.add(i) = scalar::ln_one(*xs.add(i));
-            i += 1;
-        }
-    }
-}
-
 /// The scalar fallback backend: one f64 per "register", masks carried as
 /// all-ones / all-zero bit patterns. This is the tier every other backend
 /// is pinned against, and the tier used on architectures without a vector
@@ -667,28 +213,8 @@ impl Lanes for f64 {
     }
 
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        self - o
-    }
-
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        self * o
-    }
-
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        self / o
-    }
-
-    #[inline(always)]
     unsafe fn le(self, o: Self) -> Self {
         mask1(self <= o)
-    }
-
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        mask1(self < o)
     }
 
     #[inline(always)]
@@ -702,23 +228,8 @@ impl Lanes for f64 {
     }
 
     #[inline(always)]
-    unsafe fn eq(self, o: Self) -> Self {
-        mask1(self == o)
-    }
-
-    #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
         f64::from_bits(self.to_bits() & o.to_bits())
-    }
-
-    #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
-        f64::from_bits(self.to_bits() | o.to_bits())
-    }
-
-    #[inline(always)]
-    unsafe fn xor(self, o: Self) -> Self {
-        f64::from_bits(self.to_bits() ^ o.to_bits())
     }
 
     #[inline(always)]
@@ -736,58 +247,12 @@ impl Lanes for f64 {
     }
 
     #[inline(always)]
-    unsafe fn i64_add(self, o: Self) -> Self {
-        f64::from_bits((self.to_bits() as i64).wrapping_add(o.to_bits() as i64) as u64)
-    }
-
-    #[inline(always)]
-    unsafe fn i64_sub(self, o: Self) -> Self {
-        f64::from_bits((self.to_bits() as i64).wrapping_sub(o.to_bits() as i64) as u64)
-    }
-
-    #[inline(always)]
-    unsafe fn shl52(self) -> Self {
-        f64::from_bits(self.to_bits() << 52)
-    }
-
-    #[inline(always)]
-    unsafe fn shr52(self) -> Self {
-        f64::from_bits(self.to_bits() >> 52)
-    }
-
-    #[inline(always)]
     unsafe fn i64_eq(self, o: Self) -> Self {
         mask1(self.to_bits() == o.to_bits())
-    }
-
-    #[inline(always)]
-    unsafe fn floor_small(self) -> Self {
-        self.floor()
-    }
-
-    #[inline(always)]
-    unsafe fn any(self) -> bool {
-        self.to_bits() != 0
     }
 }
 
 #[inline(always)]
 fn mask1(b: bool) -> f64 {
     f64::from_bits(if b { u64::MAX } else { 0 })
-}
-
-/// Slice map `out[i] = ln_1p(xs[i])` (tolerant contract).
-#[inline(always)]
-pub(crate) unsafe fn vln_1p_raw<V: Lanes>(xs: *const f64, out: *mut f64, n: usize) {
-    unsafe {
-        let mut i = 0;
-        while i + V::LANES <= n {
-            ln_1p_lanes(V::loadu(xs.add(i))).storeu(out.add(i));
-            i += V::LANES;
-        }
-        while i < n {
-            *out.add(i) = scalar::ln_1p_one(*xs.add(i));
-            i += 1;
-        }
-    }
 }

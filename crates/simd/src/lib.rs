@@ -3,9 +3,8 @@
 //! This crate is the workspace's one home for `unsafe` vector code (every
 //! other library crate carries `#![forbid(unsafe_code)]`). It exposes
 //! batch forms of the hot delay-space kernels — weighted leaf fills,
-//! min-of-max approximate nLSE, exact nLSE/nLDE, the `nlse_many` pivot
-//! fold, VTC encode — plus slice transcendentals (`vexp`, `vln`,
-//! `vln_1p`), dispatched at runtime over ISA tiers:
+//! min-of-max approximate nLSE, exact nLSE and the balance-unit add —
+//! dispatched at runtime over ISA tiers:
 //!
 //! | tier | ISA | lanes | availability |
 //! |------|-----|-------|--------------|
@@ -14,41 +13,30 @@
 //! | `Avx2`   | x86-64 AVX2 | 4 | runtime-detected |
 //! | `Neon`   | AArch64 NEON | 2 | aarch64 baseline |
 //!
-//! # Bit-identity vs. tolerant contract
+//! # Bit-identity contract
 //!
-//! Kernels come in two families (see [`kernels`](self) internals and
-//! [`scalar`] for the reference forms):
-//!
-//! * **Identical**: kernels built only from IEEE add/compare/select
-//!   ([`nlse_approx_rows`], [`weighted_leaves`], [`add_units`],
-//!   [`total_min`], and the identical flavors of [`nlse_exact_rows`] /
-//!   [`nlde_rows`] / [`nlse_fold`], which keep their transcendentals
-//!   scalar and in scalar order). These produce bit-for-bit the results
-//!   of the golden scalar `DelayValue` engine on **every** tier,
-//!   including the `f64::total_cmp` comparator flavor on signed zeros.
-//! * **Tolerant**: kernels that vectorize `exp`/`ln`/`ln_1p` with
-//!   Cephes-style polynomials (a few ulp from libm, flush-to-zero below
-//!   `exp(-745.133)`) or reassociate reductions ([`nlse_fold`] with
-//!   `tolerant = true` stripes the sum into four fixed accumulators).
-//!   Tolerant results still match bit-for-bit *across tiers and tail
-//!   positions* — the polynomial evaluation order is identical in lanes
-//!   and scalar tails, and the stripe count is tier-independent — but
-//!   match libm-based scalar results only to a tolerance.
+//! Every kernel produces bit-for-bit the results of the golden scalar
+//! `DelayValue` engine on **every** tier, including the `f64::total_cmp`
+//! comparator flavor on signed zeros. The vectorized kernels
+//! ([`nlse_approx_rows`], [`weighted_leaves`], [`add_units`]) are built
+//! only from IEEE add/compare/select, which are correctly rounded; the
+//! exact nLSE rows ([`nlse_exact_rows`]) keep libm `exp`/`ln_1p` scalar
+//! and in element order. [`scalar`] holds the one-element reference form
+//! of each kernel.
 //!
 //! # Selecting a tier and a mode
 //!
 //! The active tier is runtime-detected, can be pinned programmatically
 //! with [`force_tier`], and is seeded from the `TA_SIMD_TIER` environment
 //! variable (`scalar` | `sse2` | `avx2` | `neon`; unavailable or invalid
-//! values fall back to detection). The executor-facing mode —
-//! [`SimdMode::Off`] / [`SimdMode::Identical`] / [`SimdMode::Tolerant`] —
-//! is process-global ([`mode`] / [`set_mode`]), seeded from `TA_SIMD`
-//! (default `identical`), and surfaced on the CLI as `--simd` /
-//! `--simd-tier`.
+//! values fall back to detection); the CLI surfaces it as `--simd-tier`.
+//! The executor-facing mode — [`SimdMode::Identical`] (default) or
+//! [`SimdMode::Off`], the scalar golden leg of the parity suites and
+//! benches — is a process-global set with [`set_mode`].
 //!
-//! Every kernel also has a `*_in` variant taking an explicit tier, used by
-//! the parity proptests and benches to pin a specific backend without
-//! touching the process-global state.
+//! Every kernel with a vector path also has a `*_in` variant taking an
+//! explicit tier, used by the parity proptests to pin a specific backend
+//! without touching the process-global state.
 
 #![forbid(clippy::todo)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -61,7 +49,7 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// An ISA tier the dispatcher can route kernels to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -178,41 +166,20 @@ impl std::error::Error for TierUnavailable {}
 /// The executor-facing vectorization mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SimdMode {
-    /// Never take a vector path; byte-for-byte the pre-SIMD executor.
+    /// Never take a vector path: the scalar golden executor.
     Off,
-    /// Vector paths restricted to the bit-identity contract (default).
+    /// Vector paths under the bit-identity contract (default).
     #[default]
     Identical,
-    /// Additionally allow lane-reassociated transcendental kernels,
-    /// pinned by nRMSE tolerance rather than bit equality.
-    Tolerant,
 }
 
 impl SimdMode {
-    /// The canonical lower-case name (`off`, `identical`, `tolerant`).
+    /// The canonical lower-case name (`off`, `identical`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             SimdMode::Off => "off",
             SimdMode::Identical => "identical",
-            SimdMode::Tolerant => "tolerant",
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            SimdMode::Off => 1,
-            SimdMode::Identical => 2,
-            SimdMode::Tolerant => 3,
-        }
-    }
-
-    fn decode(v: u8) -> Option<SimdMode> {
-        match v {
-            1 => Some(SimdMode::Off),
-            2 => Some(SimdMode::Identical),
-            3 => Some(SimdMode::Tolerant),
-            _ => None,
         }
     }
 }
@@ -223,35 +190,10 @@ impl std::fmt::Display for SimdMode {
     }
 }
 
-impl std::str::FromStr for SimdMode {
-    type Err = ModeParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Ok(SimdMode::Off),
-            "identical" => Ok(SimdMode::Identical),
-            "tolerant" => Ok(SimdMode::Tolerant),
-            _ => Err(ModeParseError),
-        }
-    }
-}
-
-/// A mode name failed to parse (expected `off`/`identical`/`tolerant`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ModeParseError;
-
-impl std::fmt::Display for ModeParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("unknown SIMD mode (expected off, identical or tolerant)")
-    }
-}
-
-impl std::error::Error for ModeParseError {}
-
 /// 0 = uninitialized (consult `TA_SIMD_TIER` / detection on first use).
 static TIER: AtomicU8 = AtomicU8::new(0);
-/// 0 = uninitialized (consult `TA_SIMD` on first use).
-static MODE: AtomicU8 = AtomicU8::new(0);
+/// Set while [`SimdMode::Off`] is in effect.
+static SIMD_OFF: AtomicBool = AtomicBool::new(false);
 
 /// The widest tier the host supports, ignoring overrides.
 #[must_use]
@@ -312,24 +254,20 @@ pub fn force_tier(tier: Option<SimdTier>) -> Result<(), TierUnavailable> {
     }
 }
 
-/// The process-global executor mode: the last [`set_mode`], else the
-/// `TA_SIMD` environment variable, else [`SimdMode::Identical`].
+/// The process-global executor mode: the last [`set_mode`], else
+/// [`SimdMode::Identical`].
 #[must_use]
 pub fn mode() -> SimdMode {
-    if let Some(m) = SimdMode::decode(MODE.load(Ordering::Relaxed)) {
-        return m;
+    if SIMD_OFF.load(Ordering::Relaxed) {
+        SimdMode::Off
+    } else {
+        SimdMode::Identical
     }
-    let m = std::env::var("TA_SIMD")
-        .ok()
-        .and_then(|s| s.parse::<SimdMode>().ok())
-        .unwrap_or_default();
-    MODE.store(m.encode(), Ordering::Relaxed);
-    m
 }
 
 /// Sets the process-global executor mode.
 pub fn set_mode(m: SimdMode) {
-    MODE.store(m.encode(), Ordering::Relaxed);
+    SIMD_OFF.store(m == SimdMode::Off, Ordering::Relaxed);
 }
 
 /// Routes a kernel to the backend for `tier`. The caller (the public
@@ -368,7 +306,7 @@ fn check_tier(tier: SimdTier) -> SimdTier {
 }
 
 /// In-place `xs[i] += delta` — the unconditional `DelayValue::delayed`
-/// semantics (`+0.0` flattens `-0.0`). Identical contract.
+/// semantics (`+0.0` flattens `-0.0`).
 pub fn add_units(xs: &mut [f64], delta: f64) {
     add_units_in(active_tier(), xs, delta);
 }
@@ -389,7 +327,7 @@ pub fn add_units_in(tier: SimdTier, xs: &mut [f64], delta: f64) {
 }
 
 /// Weighted leaf fill: `out[i] = px[i * stride] + w`, truncated to never
-/// (`+∞`) when the sum exceeds `truncate_at`. Identical contract.
+/// (`+∞`) when the sum exceeds `truncate_at`.
 ///
 /// # Panics
 ///
@@ -441,9 +379,9 @@ pub fn weighted_leaves_in(
 /// Batched min-of-max approximate nLSE:
 /// `out[i] = approx_eval(a[i] ⊕ au, b[i] ⊕ bu) + k` with `⊕` the balance
 /// add (skipped when the unit count is exactly `0.0`) and `k` the unit's
-/// completion-detect latency, added unconditionally. Identical contract:
-/// bit-for-bit the scalar `TreeOps::balance` + `NlseUnit::eval_ideal`
-/// composition on every tier.
+/// completion-detect latency, added unconditionally: bit-for-bit the
+/// scalar `TreeOps::balance` + `NlseUnit::eval_ideal` composition on
+/// every tier.
 ///
 /// # Panics
 ///
@@ -498,7 +436,7 @@ pub fn nlse_approx_rows_in(
 
 /// In-place accumulate form of [`nlse_approx_rows`]:
 /// `acc[i] = approx_eval(x[i] ⊕ xu, acc[i] ⊕ acc_units) + k` — the spine
-/// combine step of the planned executor. Identical contract.
+/// combine step of the planned executor.
 ///
 /// # Panics
 ///
@@ -547,50 +485,20 @@ pub fn nlse_approx_rows_inplace_in(
     );
 }
 
-/// Batched exact nLSE with balance units.
-///
-/// With `tolerant = false` this replicates `ops::nlse` bit-for-bit (libm
-/// transcendentals, scalar on every tier — the exact operator is
-/// transcendental-bound, so the batch form exists for layout uniformity
-/// and the skip-free guard order, not lane parallelism). With
-/// `tolerant = true` the spread's `exp`/`ln_1p` vectorize with the
-/// polynomial lanes.
+/// Batched exact nLSE with balance units:
+/// `out[i] = nlse(a[i] ⊕ au, b[i] ⊕ bu)`, bit-for-bit `ops::nlse` (libm
+/// transcendentals, identical guard order). Scalar on every tier — the
+/// exact operator is transcendental-bound, so the batch form exists for
+/// the executor's row layout, not lane parallelism.
 ///
 /// # Panics
 ///
 /// If `a`, `b` and `out` differ in length.
-pub fn nlse_exact_rows(a: &[f64], au: f64, b: &[f64], bu: f64, tolerant: bool, out: &mut [f64]) {
-    nlse_exact_rows_in(active_tier(), a, au, b, bu, tolerant, out);
-}
-
-/// [`nlse_exact_rows`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`nlse_exact_rows`], plus if `tier` is unavailable.
-pub fn nlse_exact_rows_in(
-    tier: SimdTier,
-    a: &[f64],
-    au: f64,
-    b: &[f64],
-    bu: f64,
-    tolerant: bool,
-    out: &mut [f64],
-) {
-    let tier = check_tier(tier);
+pub fn nlse_exact_rows(a: &[f64], au: f64, b: &[f64], bu: f64, out: &mut [f64]) {
     assert_eq!(a.len(), out.len(), "operand/output length mismatch");
     assert_eq!(b.len(), out.len(), "operand/output length mismatch");
-    if tolerant {
-        dispatch!(
-            tier,
-            nlse_exact_rows_tolerant_raw,
-            nlse_exact_rows_tolerant_avx2,
-            (a.as_ptr(), au, b.as_ptr(), bu, out.as_mut_ptr(), out.len())
-        );
-    } else {
-        for i in 0..out.len() {
-            out[i] = scalar::nlse_exact_one(a[i], au, b[i], bu);
-        }
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = scalar::nlse_exact_one(x, au, y, bu);
     }
 }
 
@@ -600,324 +508,11 @@ pub fn nlse_exact_rows_in(
 /// # Panics
 ///
 /// If `x` and `acc` differ in length.
-pub fn nlse_exact_rows_inplace(
-    x: &[f64],
-    xu: f64,
-    acc: &mut [f64],
-    acc_units: f64,
-    tolerant: bool,
-) {
-    nlse_exact_rows_inplace_in(active_tier(), x, xu, acc, acc_units, tolerant);
-}
-
-/// [`nlse_exact_rows_inplace`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`nlse_exact_rows_inplace`], plus if `tier` is unavailable.
-pub fn nlse_exact_rows_inplace_in(
-    tier: SimdTier,
-    x: &[f64],
-    xu: f64,
-    acc: &mut [f64],
-    acc_units: f64,
-    tolerant: bool,
-) {
-    let tier = check_tier(tier);
+pub fn nlse_exact_rows_inplace(x: &[f64], xu: f64, acc: &mut [f64], acc_units: f64) {
     assert_eq!(x.len(), acc.len(), "operand/accumulator length mismatch");
-    if tolerant {
-        dispatch!(
-            tier,
-            nlse_exact_rows_tolerant_raw,
-            nlse_exact_rows_tolerant_avx2,
-            (
-                x.as_ptr(),
-                xu,
-                acc.as_ptr(),
-                acc_units,
-                acc.as_mut_ptr(),
-                acc.len()
-            )
-        );
-    } else {
-        for (i, &xi) in x.iter().enumerate() {
-            acc[i] = scalar::nlse_exact_one(xi, xu, acc[i], acc_units);
-        }
+    for (a, &xi) in acc.iter_mut().zip(x) {
+        *a = scalar::nlse_exact_one(xi, xu, *a, acc_units);
     }
-}
-
-/// An element of a batched nLDE had its dominant operand second — the
-/// batch-level image of `ops::nlde`'s `NormalizeError`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NldeDominanceError;
-
-impl std::fmt::Display for NldeDominanceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("nLDE row contains an element whose dominant operand is second")
-    }
-}
-
-impl std::error::Error for NldeDominanceError {}
-
-/// Batched exact nLDE: `out[i] = nlde(xs[i], ys[i])`, with `ops::nlde`'s
-/// mixed comparator semantics (total-order dominance check first, numeric
-/// equality shortcut second). With `tolerant = false` this replicates
-/// `ops::nlde` bit-for-bit (scalar, libm); with `tolerant = true` the
-/// transcendentals vectorize. On error the contents of `out` are
-/// unspecified.
-///
-/// # Errors
-///
-/// [`NldeDominanceError`] if any element's dominant operand is second.
-///
-/// # Panics
-///
-/// If `xs`, `ys` and `out` differ in length.
-pub fn nlde_rows(
-    xs: &[f64],
-    ys: &[f64],
-    tolerant: bool,
-    out: &mut [f64],
-) -> Result<(), NldeDominanceError> {
-    nlde_rows_in(active_tier(), xs, ys, tolerant, out)
-}
-
-/// [`nlde_rows`] pinned to an explicit tier.
-///
-/// # Errors
-///
-/// As [`nlde_rows`].
-///
-/// # Panics
-///
-/// As [`nlde_rows`], plus if `tier` is unavailable.
-pub fn nlde_rows_in(
-    tier: SimdTier,
-    xs: &[f64],
-    ys: &[f64],
-    tolerant: bool,
-    out: &mut [f64],
-) -> Result<(), NldeDominanceError> {
-    let tier = check_tier(tier);
-    assert_eq!(xs.len(), out.len(), "operand/output length mismatch");
-    assert_eq!(ys.len(), out.len(), "operand/output length mismatch");
-    let any_err = if tolerant {
-        dispatch!(
-            tier,
-            nlde_rows_tolerant_raw,
-            nlde_rows_tolerant_avx2,
-            (xs.as_ptr(), ys.as_ptr(), out.as_mut_ptr(), out.len())
-        )
-    } else {
-        let mut err = false;
-        for i in 0..out.len() {
-            match scalar::nlde_one(xs[i], ys[i]) {
-                Ok(v) => out[i] = v,
-                Err(()) => {
-                    err = true;
-                    break;
-                }
-            }
-        }
-        err
-    };
-    if any_err {
-        Err(NldeDominanceError)
-    } else {
-        Ok(())
-    }
-}
-
-/// Total-order minimum of a slice of delays; `+∞` (never) when empty.
-/// Identical contract in any tier and association order — total-order
-/// ties are bit-identical, so the lattice meet has one representation.
-#[must_use]
-pub fn total_min(xs: &[f64]) -> f64 {
-    total_min_in(active_tier(), xs)
-}
-
-/// [`total_min`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// If `tier` is unavailable.
-#[must_use]
-pub fn total_min_in(tier: SimdTier, xs: &[f64]) -> f64 {
-    let tier = check_tier(tier);
-    dispatch!(tier, total_min_raw, total_min_avx2, (xs.as_ptr(), xs.len()))
-}
-
-/// The `ops::nlse_many` pivot fold over raw delays.
-///
-/// With `tolerant = false` the pivot scan vectorizes (bit-exact, see
-/// [`total_min`]) while the `Σ exp(pivot − v)` accumulation stays scalar
-/// and in slice order with libm `exp` — bit-for-bit `ops::nlse_many`,
-/// including the `underflow_cutoff` skip and the `acc == 1.0`
-/// min-domination shortcut. With `tolerant = true` the accumulation runs
-/// in four fixed stripes of polynomial-`exp` lanes (tier-independent
-/// reassociation) and the final `ln` is polynomial.
-#[must_use]
-pub fn nlse_fold(delays: &[f64], underflow_cutoff: f64, tolerant: bool) -> f64 {
-    nlse_fold_in(active_tier(), delays, underflow_cutoff, tolerant)
-}
-
-/// [`nlse_fold`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// If `tier` is unavailable.
-#[must_use]
-pub fn nlse_fold_in(tier: SimdTier, delays: &[f64], underflow_cutoff: f64, tolerant: bool) -> f64 {
-    let tier = check_tier(tier);
-    let m = dispatch!(
-        tier,
-        total_min_raw,
-        total_min_avx2,
-        (delays.as_ptr(), delays.len())
-    );
-    if m == f64::INFINITY {
-        return f64::INFINITY;
-    }
-    if m == f64::NEG_INFINITY {
-        return m;
-    }
-    if delays.len() == 1 {
-        return m;
-    }
-    if tolerant {
-        let stripes = dispatch!(
-            tier,
-            exp_sum_striped_raw,
-            exp_sum_striped_avx2,
-            (delays.as_ptr(), delays.len(), m, underflow_cutoff)
-        );
-        let acc = ((stripes[0] + stripes[1]) + stripes[2]) + stripes[3];
-        if acc == 1.0 {
-            return m;
-        }
-        m - scalar::ln_one(acc)
-    } else {
-        let mut acc = 0.0_f64;
-        for &v in delays {
-            if v != f64::INFINITY {
-                let d = m - v;
-                if d >= underflow_cutoff {
-                    acc += d.exp();
-                }
-            }
-        }
-        if acc == 1.0 {
-            return m;
-        }
-        m - acc.ln()
-    }
-}
-
-/// Batched VTC ideal encode (tolerant contract): clamp each pixel to
-/// `[0, 1]`, floor at `min_pixel`, then `-ln` via the polynomial lanes.
-/// The identical-mode executor keeps the per-pixel libm transfer instead.
-///
-/// # Panics
-///
-/// If any pixel is non-finite (the same contract the scalar
-/// `VtcModel::convert_ideal` asserts per pixel), or on length mismatch.
-pub fn vtc_encode_rows(px: &[f64], min_pixel: f64, out: &mut [f64]) {
-    vtc_encode_rows_in(active_tier(), px, min_pixel, out);
-}
-
-/// [`vtc_encode_rows`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`vtc_encode_rows`], plus if `tier` is unavailable.
-pub fn vtc_encode_rows_in(tier: SimdTier, px: &[f64], min_pixel: f64, out: &mut [f64]) {
-    let tier = check_tier(tier);
-    assert_eq!(px.len(), out.len(), "pixel/output length mismatch");
-    for &p in px {
-        assert!(p.is_finite(), "pixel intensities must be finite, got {p}");
-    }
-    dispatch!(
-        tier,
-        vtc_encode_raw,
-        vtc_encode_avx2,
-        (px.as_ptr(), min_pixel, out.as_mut_ptr(), out.len())
-    );
-}
-
-/// Slice map `out[i] = exp(xs[i])` (tolerant contract: polynomial lanes,
-/// a few ulp from libm, flush-to-zero below `exp(-745.133)`).
-///
-/// # Panics
-///
-/// On length mismatch.
-pub fn vexp(xs: &[f64], out: &mut [f64]) {
-    vexp_in(active_tier(), xs, out);
-}
-
-/// [`vexp`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`vexp`], plus if `tier` is unavailable.
-pub fn vexp_in(tier: SimdTier, xs: &[f64], out: &mut [f64]) {
-    let tier = check_tier(tier);
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    dispatch!(
-        tier,
-        vexp_raw,
-        vexp_avx2,
-        (xs.as_ptr(), out.as_mut_ptr(), out.len())
-    );
-}
-
-/// Slice map `out[i] = ln(xs[i])` (tolerant contract).
-///
-/// # Panics
-///
-/// On length mismatch.
-pub fn vln(xs: &[f64], out: &mut [f64]) {
-    vln_in(active_tier(), xs, out);
-}
-
-/// [`vln`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`vln`], plus if `tier` is unavailable.
-pub fn vln_in(tier: SimdTier, xs: &[f64], out: &mut [f64]) {
-    let tier = check_tier(tier);
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    dispatch!(
-        tier,
-        vln_raw,
-        vln_avx2,
-        (xs.as_ptr(), out.as_mut_ptr(), out.len())
-    );
-}
-
-/// Slice map `out[i] = ln_1p(xs[i])` (tolerant contract).
-///
-/// # Panics
-///
-/// On length mismatch.
-pub fn vln_1p(xs: &[f64], out: &mut [f64]) {
-    vln_1p_in(active_tier(), xs, out);
-}
-
-/// [`vln_1p`] pinned to an explicit tier.
-///
-/// # Panics
-///
-/// As [`vln_1p`], plus if `tier` is unavailable.
-pub fn vln_1p_in(tier: SimdTier, xs: &[f64], out: &mut [f64]) {
-    let tier = check_tier(tier);
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    dispatch!(
-        tier,
-        vln_1p_raw,
-        vln_1p_avx2,
-        (xs.as_ptr(), out.as_mut_ptr(), out.len())
-    );
 }
 
 /// Every tier available on this host, scalar first — the sweep the parity
@@ -952,10 +547,6 @@ mod tests {
             assert_eq!(t.as_str().parse::<SimdTier>().unwrap(), t);
         }
         assert!("mmx".parse::<SimdTier>().is_err());
-        for m in [SimdMode::Off, SimdMode::Identical, SimdMode::Tolerant] {
-            assert_eq!(m.as_str().parse::<SimdMode>().unwrap(), m);
-        }
-        assert!("fast".parse::<SimdMode>().is_err());
     }
 
     #[test]
@@ -1024,78 +615,6 @@ mod tests {
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "tier {tier} inplace"
             );
-        }
-    }
-
-    #[test]
-    fn total_min_is_total_order() {
-        let xs = [3.0, -0.0, 0.0, 7.5];
-        for &tier in &available_tiers() {
-            let m = total_min_in(tier, &xs);
-            assert_eq!(m.to_bits(), (-0.0_f64).to_bits(), "tier {tier}");
-        }
-        assert_eq!(total_min(&[]), f64::INFINITY);
-        let ys = [f64::INFINITY, 2.0, f64::NEG_INFINITY];
-        assert_eq!(total_min(&ys), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn fold_identical_matches_manual_loop() {
-        let xs = [0.4, 1.9, 0.4, 800.9, f64::INFINITY];
-        let cutoff = -745.2;
-        for &tier in &available_tiers() {
-            let got = nlse_fold_in(tier, &xs, cutoff, false);
-            let m = 0.4;
-            let mut acc = 0.0;
-            for &v in &xs {
-                if v != f64::INFINITY {
-                    let d: f64 = m - v;
-                    if d >= cutoff {
-                        acc += d.exp();
-                    }
-                }
-            }
-            assert_eq!(got.to_bits(), (m - acc.ln()).to_bits(), "tier {tier}");
-        }
-        // Tolerant stays within a tight relative tolerance of identical.
-        let id = nlse_fold(&xs, cutoff, false);
-        let tol = nlse_fold(&xs, cutoff, true);
-        assert!(((tol - id) / id).abs() < 1e-12, "id={id} tol={tol}");
-    }
-
-    #[test]
-    fn vexp_matches_scalar_companion_on_negative_lanes() {
-        // Regression: the to_pow2 exponent magic must hold for negative n,
-        // and slices longer than any lane width keep this on the lane path.
-        let xs: Vec<f64> = (0..64).map(|i| -f64::from(i) * 0.37).collect();
-        for &tier in &available_tiers() {
-            let mut out = vec![0.0; xs.len()];
-            vexp_in(tier, &xs, &mut out);
-            for (i, (&got, &x)) in out.iter().zip(&xs).enumerate() {
-                let want = scalar::exp_one(x);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "tier {tier} idx {i}: exp({x}) = {got} want {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vexp_vln_round_trip_all_tiers() {
-        let xs: Vec<f64> = (1..40).map(|i| f64::from(i) * 0.73).collect();
-        for &tier in &available_tiers() {
-            let mut l = vec![0.0; xs.len()];
-            vln_in(tier, &xs, &mut l);
-            let mut back = vec![0.0; xs.len()];
-            vexp_in(tier, &l, &mut back);
-            for (i, (&b, &x)) in back.iter().zip(&xs).enumerate() {
-                assert!(
-                    ((b - x) / x).abs() < 1e-13,
-                    "tier {tier} idx {i}: {b} vs {x}"
-                );
-            }
         }
     }
 }

@@ -49,28 +49,8 @@ impl Lanes for float64x2_t {
     }
 
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        unsafe { vsubq_f64(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        unsafe { vmulq_f64(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        unsafe { vdivq_f64(self, o) }
-    }
-
-    #[inline(always)]
     unsafe fn le(self, o: Self) -> Self {
         unsafe { mask_f64(vcleq_f64(self, o)) }
-    }
-
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        unsafe { mask_f64(vcltq_f64(self, o)) }
     }
 
     #[inline(always)]
@@ -84,34 +64,9 @@ impl Lanes for float64x2_t {
     }
 
     #[inline(always)]
-    unsafe fn eq(self, o: Self) -> Self {
-        unsafe { mask_f64(vceqq_f64(self, o)) }
-    }
-
-    #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
         unsafe {
             vreinterpretq_f64_u64(vandq_u64(
-                vreinterpretq_u64_f64(self),
-                vreinterpretq_u64_f64(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
-        unsafe {
-            vreinterpretq_f64_u64(vorrq_u64(
-                vreinterpretq_u64_f64(self),
-                vreinterpretq_u64_f64(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn xor(self, o: Self) -> Self {
-        unsafe {
-            vreinterpretq_f64_u64(veorq_u64(
                 vreinterpretq_u64_f64(self),
                 vreinterpretq_u64_f64(o),
             ))
@@ -135,55 +90,12 @@ impl Lanes for float64x2_t {
     }
 
     #[inline(always)]
-    unsafe fn i64_add(self, o: Self) -> Self {
-        unsafe {
-            vreinterpretq_f64_s64(vaddq_s64(
-                vreinterpretq_s64_f64(self),
-                vreinterpretq_s64_f64(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn i64_sub(self, o: Self) -> Self {
-        unsafe {
-            vreinterpretq_f64_s64(vsubq_s64(
-                vreinterpretq_s64_f64(self),
-                vreinterpretq_s64_f64(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn shl52(self) -> Self {
-        unsafe { vreinterpretq_f64_u64(vshlq_n_u64::<52>(vreinterpretq_u64_f64(self))) }
-    }
-
-    #[inline(always)]
-    unsafe fn shr52(self) -> Self {
-        unsafe { vreinterpretq_f64_u64(vshrq_n_u64::<52>(vreinterpretq_u64_f64(self))) }
-    }
-
-    #[inline(always)]
     unsafe fn i64_eq(self, o: Self) -> Self {
         unsafe {
             mask_f64(vceqq_u64(
                 vreinterpretq_u64_f64(self),
                 vreinterpretq_u64_f64(o),
             ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn floor_small(self) -> Self {
-        unsafe { vrndmq_f64(self) }
-    }
-
-    #[inline(always)]
-    unsafe fn any(self) -> bool {
-        unsafe {
-            let m = vreinterpretq_u64_f64(self);
-            (vgetq_lane_u64::<0>(m) | vgetq_lane_u64::<1>(m)) != 0
         }
     }
 }

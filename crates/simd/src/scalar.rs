@@ -1,23 +1,11 @@
 //! Scalar reference forms of every vector kernel.
 //!
-//! Two families live here:
-//!
-//! 1. **Golden-semantics kernels** (`nlse_approx_one`, `nlse_exact_one`,
-//!    `nlde_one`, `weighted_leaf_one`, `total_le`): these replicate, f64
-//!    operation for f64 operation, what the scalar `DelayValue` engine in
-//!    `ta-core` computes — including the `total_cmp` comparator flavor, the
-//!    `units == 0.0` balance short-circuit, and the unconditional `+k`
-//!    latency add of `NlseUnit::eval_ideal`. The vector tiers in identical
-//!    mode are pinned bit-for-bit against these.
-//!
-//! 2. **Polynomial transcendentals** (`exp_one`, `ln_one`, `ln_1p_one`):
-//!    Cephes-style rational approximations evaluated in exactly the same
-//!    f64 operation order as the vector lanes (no FMA anywhere), so a
-//!    remainder tail handled here produces the same bits as a full lane —
-//!    tolerant-mode results do not depend on where the lane boundary falls
-//!    or which ISA tier ran. They are *tolerant-grade*: accurate to a few
-//!    ulp against libm, with documented flush-to-zero below
-//!    `exp(-745.133)`.
+//! Each function replicates, f64 operation for f64 operation, what the
+//! scalar `DelayValue` engine in `ta-core` computes — including the
+//! `total_cmp` comparator flavor, the `units == 0.0` balance
+//! short-circuit, and the unconditional `+k` latency add of
+//! `NlseUnit::eval_ideal`. The vector tiers are pinned bit-for-bit
+//! against these.
 //!
 //! These functions operate on raw `f64` delays (the caller guarantees
 //! non-NaN where the golden engine guarantees it) so that `ta-simd` stays
@@ -86,8 +74,8 @@ pub fn nlse_approx_one(
 }
 
 /// One exact nLSE with balance units, replicating `ops::nlse` bit-for-bit
-/// (libm `exp`/`ln_1p`, identical guard order). Used by the identical-mode
-/// exact path, which stays scalar because it is transcendental-bound.
+/// (libm `exp`/`ln_1p`, identical guard order). The exact rows stay scalar
+/// on every tier because the operator is transcendental-bound.
 #[inline]
 #[must_use]
 pub fn nlse_exact_one(x: f64, x_units: f64, y: f64, y_units: f64) -> f64 {
@@ -107,286 +95,6 @@ pub fn nlse_exact_one(x: f64, x_units: f64, y: f64, y_units: f64) -> f64 {
     m - (-d).exp().ln_1p()
 }
 
-/// Tolerant-grade variant of [`nlse_exact_one`] on the polynomial
-/// transcendentals — the scalar-tail / scalar-tier companion of the
-/// vectorized exact kernel, same operation order as the lanes.
-#[inline]
-#[must_use]
-pub fn nlse_exact_one_tolerant(x: f64, x_units: f64, y: f64, y_units: f64) -> f64 {
-    let x = if x_units == 0.0 { x } else { x + x_units };
-    let y = if y_units == 0.0 { y } else { y + y_units };
-    let (m, big) = if total_le(x, y) { (x, y) } else { (y, x) };
-    if big == f64::INFINITY {
-        // Covers m == +∞ too (then big == +∞ as well and the result is m).
-        return m;
-    }
-    if m == f64::NEG_INFINITY {
-        return m;
-    }
-    let d = big - m;
-    m - ln_1p_one(exp_one(-d))
-}
-
-/// One exact nLDE, replicating `ops::nlde` bit-for-bit including its mixed
-/// comparator semantics: the dominance check `x > y` uses the *total*
-/// order (so `(+0.0, -0.0)` is an error), while the equal-operands check
-/// uses *numeric* equality (so `(-0.0, +0.0)` returns never).
-///
-/// Returns `Err(())` where `ops::nlde` returns its `NormalizeError`.
-///
-/// # Errors
-///
-/// When `y` is total-order earlier than `x` (the difference would be
-/// negative and has no delay-space image).
-// The unit error is deliberate: this leaf only signals "dominant operand
-// second"; the public batch API (`crate::nlde_rows`) wraps it in a typed
-// error, and `ta-core` maps it onto its own `NormalizeError`.
-#[allow(clippy::result_unit_err)]
-#[inline]
-pub fn nlde_one(x: f64, y: f64) -> Result<f64, ()> {
-    if !total_le(x, y) {
-        return Err(());
-    }
-    if x == y {
-        return Ok(f64::INFINITY);
-    }
-    if y == f64::INFINITY {
-        return Ok(x);
-    }
-    let d = y - x;
-    Ok(x - (-(-d).exp()).ln_1p())
-}
-
-/// Tolerant-grade [`nlde_one`] on the polynomial transcendentals.
-///
-/// # Errors
-///
-/// Same dominance rule as [`nlde_one`].
-#[allow(clippy::result_unit_err)]
-#[inline]
-pub fn nlde_one_tolerant(x: f64, y: f64) -> Result<f64, ()> {
-    if !total_le(x, y) {
-        return Err(());
-    }
-    if x == y {
-        return Ok(f64::INFINITY);
-    }
-    if y == f64::INFINITY {
-        return Ok(x);
-    }
-    let d = y - x;
-    Ok(x - ln_1p_one(-exp_one(-d)))
-}
-
-/// SSE-semantics scalar minimum: `if a < b { a } else { b }` (returns the
-/// *second* operand on ties, like `minpd`). Used so scalar tails match
-/// vector lanes bitwise on signed-zero ties.
-#[inline]
-#[must_use]
-pub fn min_sse(a: f64, b: f64) -> f64 {
-    if a < b {
-        a
-    } else {
-        b
-    }
-}
-
-/// SSE-semantics scalar maximum: `if a > b { a } else { b }`.
-#[inline]
-#[must_use]
-pub fn max_sse(a: f64, b: f64) -> f64 {
-    if a > b {
-        a
-    } else {
-        b
-    }
-}
-
-/// One VTC ideal-encode step in the tolerant contract: clamp to `[0, 1]`
-/// with SSE select semantics, floor at `min_pixel`, then `-ln` via the
-/// polynomial [`ln_one`]. The caller asserts the pixel is finite.
-#[inline]
-#[must_use]
-pub fn vtc_encode_one(pixel: f64, min_pixel: f64) -> f64 {
-    let v = max_sse(pixel, 0.0);
-    let v = min_sse(v, 1.0);
-    let v = max_sse(v, min_pixel);
-    -ln_one(v)
-}
-
-// --- Polynomial transcendentals (Cephes rational approximations) -------
-
-/// `floor` restricted to `|x| < 2^31`, matching the SSE2 truncate-and-
-/// adjust sequence bitwise (exact for this range in every tier).
-#[inline]
-#[must_use]
-pub fn floor_small(x: f64) -> f64 {
-    x.floor()
-}
-
-/// Builds `2^n` from an integer-valued f64 `n ∈ [-1022, 1024]` by direct
-/// exponent-field construction; `n == 1024` yields `+∞` (mantissa zero,
-/// exponent all-ones), which the exp kernel exploits for its overflow
-/// step-down.
-#[inline]
-#[must_use]
-fn to_pow2(n: f64) -> f64 {
-    f64::from_bits((((n as i64) + 1023) as u64) << 52)
-}
-
-/// `x * log2(e)` split constants for exp's argument reduction.
-const EXP_C1: f64 = 6.931_457_519_531_25E-1;
-const EXP_C2: f64 = 1.428_606_820_309_417_2E-6;
-// Cephes coefficients kept digit-for-digit; the trailing digits are
-// value-preserving but document the published tables.
-#[allow(clippy::excessive_precision)]
-const EXP_P: [f64; 3] = [
-    1.261_771_930_748_105_9E-4,
-    3.029_944_077_074_419_6E-2,
-    9.999_999_999_999_999_9E-1,
-];
-#[allow(clippy::excessive_precision)]
-const EXP_Q: [f64; 4] = [
-    3.001_985_051_386_644_6E-6,
-    2.524_483_403_496_841E-3,
-    2.272_655_482_081_550_3E-1,
-    2.000_000_000_000_000_2E0,
-];
-/// Above this, `exp` overflows `f64::MAX` and returns `+∞`.
-const EXP_HI: f64 = 709.782_712_893_384;
-/// Below this (`ln(2^-1075)`), `exp` rounds to exactly `+0.0`.
-const EXP_LO: f64 = -745.133_219_101_941_2;
-/// Stepping stone for subnormal results: `2^-54`.
-const TWO_NEG_54: f64 = 5.551_115_123_125_783e-17;
-
-/// Tolerant-grade `exp(x)`: Cephes rational approximation, a few ulp from
-/// libm over the normal range. Results denormal in libm are produced via a
-/// two-step scale (one extra rounding); `x < -745.133` flushes to `+0.0`
-/// and `x > 709.783` to `+∞`. NaN propagates.
-///
-/// Evaluated in exactly the lane operation order, so tails match lanes.
-#[inline]
-#[must_use]
-pub fn exp_one(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
-    if x > EXP_HI {
-        return f64::INFINITY;
-    }
-    if x < EXP_LO {
-        return 0.0;
-    }
-    let n = floor_small(x * std::f64::consts::LOG2_E + 0.5);
-    let r = x - n * EXP_C1;
-    let r = r - n * EXP_C2;
-    let xx = r * r;
-    let p = r * ((EXP_P[0] * xx + EXP_P[1]) * xx + EXP_P[2]);
-    let q = ((EXP_Q[0] * xx + EXP_Q[1]) * xx + EXP_Q[2]) * xx + EXP_Q[3];
-    let e = p / (q - p);
-    let y = (e + e) + 1.0;
-    // Overflow step-down: n == 1024 exceeds the exponent field, so scale
-    // by 2^(n-1) and double. Underflow step-up: n < -1022 would be a
-    // subnormal scale factor, so scale by 2^(n+54) and step down by 2^-54.
-    if n >= 1024.0 {
-        let y = y * to_pow2(n - 1.0);
-        y + y
-    } else if n < -1022.0 {
-        (y * to_pow2(n + 54.0)) * TWO_NEG_54
-    } else {
-        y * to_pow2(n)
-    }
-}
-
-const LN_P: [f64; 6] = [
-    1.018_756_638_045_809_3E-4,
-    4.974_949_949_767_47E-1,
-    4.705_791_198_788_817E0,
-    1.449_892_253_416_109_3E1,
-    1.793_686_785_078_198_2E1,
-    7.708_387_337_558_854E0,
-];
-const LN_Q: [f64; 5] = [
-    1.128_735_871_891_674_5E1,
-    4.522_791_458_375_322E1,
-    8.298_752_669_127_766E1,
-    7.115_447_506_185_639E1,
-    2.312_516_201_267_653_4E1,
-];
-/// `sqrt(1/2)`: the mantissa-range split point of the log reduction.
-const SQRTH: f64 = std::f64::consts::FRAC_1_SQRT_2;
-/// Low/high split of `ln(2)` used to reassemble the exponent term.
-const LN2_LO: f64 = 2.121_944_400_546_905_8E-4;
-const LN2_HI: f64 = 0.693_359_375;
-/// `2^52`, the magic constant for float→int lane tricks.
-pub(crate) const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
-/// `2^54`, the subnormal-input prescale for ln.
-const TWO_POW_54: f64 = 18_014_398_509_481_984.0;
-
-/// Tolerant-grade `ln(x)`: Cephes rational approximation. `±0 → -∞`,
-/// negative `→ NaN`, `+∞ → +∞`, NaN propagates; subnormal inputs are
-/// prescaled by `2^54`. Evaluated in exactly the lane operation order.
-#[inline]
-#[must_use]
-pub fn ln_one(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
-    if x == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if x < 0.0 {
-        return f64::NAN;
-    }
-    if x == f64::INFINITY {
-        return f64::INFINITY;
-    }
-    let (xs, e_adj) = if x < f64::MIN_POSITIVE {
-        (x * TWO_POW_54, -54.0)
-    } else {
-        (x, 0.0)
-    };
-    let bits = xs.to_bits();
-    let e_raw = ((bits >> 52) & 0x7ff) as i64;
-    // Exponent such that the mantissa f sits in [0.5, 1).
-    let e = f64::from_bits((e_raw as u64) | TWO_POW_52.to_bits()) - TWO_POW_52 - 1022.0 + e_adj;
-    let f = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FE0_0000_0000_0000);
-    let (e, z) = if f < SQRTH {
-        (e - 1.0, (f + f) - 1.0)
-    } else {
-        (e, f - 1.0)
-    };
-    let zz = z * z;
-    let py = ((((LN_P[0] * z + LN_P[1]) * z + LN_P[2]) * z + LN_P[3]) * z + LN_P[4]) * z + LN_P[5];
-    let qy = ((((z + LN_Q[0]) * z + LN_Q[1]) * z + LN_Q[2]) * z + LN_Q[3]) * z + LN_Q[4];
-    let y = z * (zz * py / qy);
-    let y = y - e * LN2_LO;
-    let y = y - 0.5 * zz;
-    let r = z + y;
-    r + e * LN2_HI
-}
-
-/// Tolerant-grade `ln(1 + x)` via the compensated quotient
-/// `ln(u) * x / (u - 1)` with `u = 1 + x` (exact when `u == 1`). `±0`
-/// round-trips bit-exactly, `x == -1 → -∞`, `x < -1 → NaN`, `+∞ → +∞`.
-/// Evaluated in exactly the lane operation order.
-#[inline]
-#[must_use]
-pub fn ln_1p_one(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
-    if x == f64::INFINITY {
-        return x;
-    }
-    let u = 1.0 + x;
-    if u == 1.0 {
-        return x;
-    }
-    let d = u - 1.0;
-    ln_one(u) * (x / d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,78 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_one_matches_libm_closely() {
-        for i in -200..=200 {
-            let x = f64::from(i) * 3.37;
-            let got = exp_one(x);
-            let want = x.exp();
-            if want == 0.0 || want.is_infinite() {
-                assert_eq!(got, want, "x={x}");
-            } else {
-                let rel = ((got - want) / want).abs();
-                assert!(rel < 1e-14, "x={x} got={got} want={want} rel={rel}");
-            }
-        }
-        assert_eq!(exp_one(0.0), 1.0);
-        assert_eq!(exp_one(-0.0), 1.0);
-        assert_eq!(exp_one(f64::NEG_INFINITY), 0.0);
-        assert_eq!(exp_one(f64::INFINITY), f64::INFINITY);
-        assert!(exp_one(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn exp_one_subnormal_and_overflow_steps() {
-        // Denormal-result region: within 2 ulp of libm via the two-step scale.
-        for &x in &[-709.0, -720.0, -740.0, -744.4, -745.0, -745.1] {
-            let got = exp_one(x);
-            let want = x.exp();
-            let ulps = (got.to_bits() as i64 - want.to_bits() as i64).abs();
-            assert!(ulps <= 2, "x={x} got={got:e} want={want:e} ulps={ulps}");
-        }
-        // Near-overflow region stays finite until libm overflows.
-        let x = 709.7827;
-        assert!(exp_one(x).is_finite(), "exp({x}) = {}", exp_one(x));
-        assert_eq!(exp_one(709.7828), f64::INFINITY);
-        assert_eq!(exp_one(-745.2), 0.0);
-    }
-
-    #[test]
-    fn ln_one_matches_libm_closely() {
-        for i in 1..=400 {
-            let x = f64::from(i) * 0.737;
-            let got = ln_one(x);
-            let want = x.ln();
-            let tol = 1e-15 * want.abs().max(1.0);
-            assert!((got - want).abs() < tol, "x={x} got={got} want={want}");
-        }
-        assert_eq!(ln_one(1.0), 0.0);
-        assert_eq!(ln_one(0.0), f64::NEG_INFINITY);
-        assert_eq!(ln_one(-0.0), f64::NEG_INFINITY);
-        assert!(ln_one(-1.0).is_nan());
-        assert_eq!(ln_one(f64::INFINITY), f64::INFINITY);
-        assert!(ln_one(f64::NAN).is_nan());
-        // Subnormal input goes through the prescale.
-        let tiny = f64::MIN_POSITIVE / 1024.0;
-        let rel = ((ln_one(tiny) - tiny.ln()) / tiny.ln()).abs();
-        assert!(rel < 1e-15, "rel={rel}");
-    }
-
-    #[test]
-    fn ln_1p_one_matches_libm_closely() {
-        for &x in &[1e-300, 1e-18, 1e-9, 0.1, 0.5, 1.0, 10.0, -0.5, -0.999] {
-            let got = ln_1p_one(x);
-            let want = x.ln_1p();
-            let tol = 1e-14 * want.abs().max(1e-300);
-            assert!((got - want).abs() <= tol, "x={x} got={got} want={want}");
-        }
-        assert_eq!(ln_1p_one(0.0).to_bits(), 0.0_f64.to_bits());
-        assert_eq!(ln_1p_one(-0.0).to_bits(), (-0.0_f64).to_bits());
-        assert_eq!(ln_1p_one(-1.0), f64::NEG_INFINITY);
-        assert!(ln_1p_one(-1.5).is_nan());
-        assert_eq!(ln_1p_one(f64::INFINITY), f64::INFINITY);
-    }
-
-    #[test]
     fn golden_kernels_reject_nothing_on_inf() {
         // never (+∞) operands flow through every kernel without NaN.
         let inf = f64::INFINITY;
@@ -481,9 +117,5 @@ mod tests {
         );
         assert_eq!(nlse_exact_one(inf, 0.0, inf, 0.0), inf);
         assert_eq!(nlse_exact_one(1.0, 0.0, inf, 0.0), 1.0);
-        assert_eq!(nlde_one(1.0, inf), Ok(1.0));
-        assert_eq!(nlde_one(inf, inf), Ok(inf));
-        assert_eq!(nlde_one(0.0, -0.0), Err(()));
-        assert_eq!(nlde_one(-0.0, 0.0), Ok(inf));
     }
 }

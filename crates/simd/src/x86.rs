@@ -42,28 +42,8 @@ impl Lanes for __m128d {
     }
 
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        unsafe { _mm_sub_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        unsafe { _mm_mul_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        unsafe { _mm_div_pd(self, o) }
-    }
-
-    #[inline(always)]
     unsafe fn le(self, o: Self) -> Self {
         unsafe { _mm_cmple_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        unsafe { _mm_cmplt_pd(self, o) }
     }
 
     #[inline(always)]
@@ -77,23 +57,8 @@ impl Lanes for __m128d {
     }
 
     #[inline(always)]
-    unsafe fn eq(self, o: Self) -> Self {
-        unsafe { _mm_cmpeq_pd(self, o) }
-    }
-
-    #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
         unsafe { _mm_and_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
-        unsafe { _mm_or_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn xor(self, o: Self) -> Self {
-        unsafe { _mm_xor_pd(self, o) }
     }
 
     #[inline(always)]
@@ -107,26 +72,6 @@ impl Lanes for __m128d {
     }
 
     #[inline(always)]
-    unsafe fn i64_add(self, o: Self) -> Self {
-        unsafe { _mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(self), _mm_castpd_si128(o))) }
-    }
-
-    #[inline(always)]
-    unsafe fn i64_sub(self, o: Self) -> Self {
-        unsafe { _mm_castsi128_pd(_mm_sub_epi64(_mm_castpd_si128(self), _mm_castpd_si128(o))) }
-    }
-
-    #[inline(always)]
-    unsafe fn shl52(self) -> Self {
-        unsafe { _mm_castsi128_pd(_mm_slli_epi64::<52>(_mm_castpd_si128(self))) }
-    }
-
-    #[inline(always)]
-    unsafe fn shr52(self) -> Self {
-        unsafe { _mm_castsi128_pd(_mm_srli_epi64::<52>(_mm_castpd_si128(self))) }
-    }
-
-    #[inline(always)]
     unsafe fn i64_eq(self, o: Self) -> Self {
         // SSE2 has no 64-bit lane equality; compose it from the 32-bit one
         // by AND-ing each half's result with its pair-swapped shuffle.
@@ -135,22 +80,6 @@ impl Lanes for __m128d {
             let s = _mm_shuffle_epi32::<0b1011_0001>(t);
             _mm_castsi128_pd(_mm_and_si128(t, s))
         }
-    }
-
-    #[inline(always)]
-    unsafe fn floor_small(self) -> Self {
-        // SSE2 has no roundpd: truncate through i32 (exact for |x| < 2^31)
-        // and subtract one where truncation rounded up.
-        unsafe {
-            let t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(self));
-            let adj = _mm_and_pd(_mm_cmpgt_pd(t, self), _mm_set1_pd(1.0));
-            _mm_sub_pd(t, adj)
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn any(self) -> bool {
-        unsafe { _mm_movemask_pd(self) != 0 }
     }
 }
 
@@ -183,28 +112,8 @@ impl Lanes for __m256d {
     }
 
     #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        unsafe { _mm256_sub_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        unsafe { _mm256_mul_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        unsafe { _mm256_div_pd(self, o) }
-    }
-
-    #[inline(always)]
     unsafe fn le(self, o: Self) -> Self {
         unsafe { _mm256_cmp_pd::<_CMP_LE_OQ>(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        unsafe { _mm256_cmp_pd::<_CMP_LT_OQ>(self, o) }
     }
 
     #[inline(always)]
@@ -218,23 +127,8 @@ impl Lanes for __m256d {
     }
 
     #[inline(always)]
-    unsafe fn eq(self, o: Self) -> Self {
-        unsafe { _mm256_cmp_pd::<_CMP_EQ_OQ>(self, o) }
-    }
-
-    #[inline(always)]
     unsafe fn and(self, o: Self) -> Self {
         unsafe { _mm256_and_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn or(self, o: Self) -> Self {
-        unsafe { _mm256_or_pd(self, o) }
-    }
-
-    #[inline(always)]
-    unsafe fn xor(self, o: Self) -> Self {
-        unsafe { _mm256_xor_pd(self, o) }
     }
 
     #[inline(always)]
@@ -249,36 +143,6 @@ impl Lanes for __m256d {
     }
 
     #[inline(always)]
-    unsafe fn i64_add(self, o: Self) -> Self {
-        unsafe {
-            _mm256_castsi256_pd(_mm256_add_epi64(
-                _mm256_castpd_si256(self),
-                _mm256_castpd_si256(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn i64_sub(self, o: Self) -> Self {
-        unsafe {
-            _mm256_castsi256_pd(_mm256_sub_epi64(
-                _mm256_castpd_si256(self),
-                _mm256_castpd_si256(o),
-            ))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn shl52(self) -> Self {
-        unsafe { _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_castpd_si256(self))) }
-    }
-
-    #[inline(always)]
-    unsafe fn shr52(self) -> Self {
-        unsafe { _mm256_castsi256_pd(_mm256_srli_epi64::<52>(_mm256_castpd_si256(self))) }
-    }
-
-    #[inline(always)]
     unsafe fn i64_eq(self, o: Self) -> Self {
         unsafe {
             _mm256_castsi256_pd(_mm256_cmpeq_epi64(
@@ -287,27 +151,17 @@ impl Lanes for __m256d {
             ))
         }
     }
-
-    #[inline(always)]
-    unsafe fn floor_small(self) -> Self {
-        unsafe { _mm256_floor_pd(self) }
-    }
-
-    #[inline(always)]
-    unsafe fn any(self) -> bool {
-        unsafe { _mm256_movemask_pd(self) != 0 }
-    }
 }
 
 /// Generates `#[target_feature(enable = "avx2")]` trampolines that
 /// monomorphize a generic kernel with the AVX2 backend. The trampoline is
 /// what lets the `#[inline(always)]` kernel body codegen with AVX2.
 macro_rules! avx2_trampolines {
-    ($(fn $name:ident = $kernel:ident ( $($arg:ident : $ty:ty),* $(,)? ) $(-> $ret:ty)?;)+) => {
+    ($(fn $name:ident = $kernel:ident ( $($arg:ident : $ty:ty),* $(,)? );)+) => {
         $(
             #[target_feature(enable = "avx2")]
             #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
+            pub(crate) unsafe fn $name($($arg: $ty),*) {
                 // SAFETY: the dispatcher only routes here when AVX2 was
                 // runtime-detected (or explicitly forced after an
                 // availability check).
@@ -324,16 +178,4 @@ avx2_trampolines! {
     fn nlse_approx_rows_avx2 = nlse_approx_rows_raw(
         a: *const f64, au: f64, b: *const f64, bu: f64,
         terms: &[(f64, f64)], k: f64, out: *mut f64, n: usize);
-    fn nlse_exact_rows_tolerant_avx2 = nlse_exact_rows_tolerant_raw(
-        a: *const f64, au: f64, b: *const f64, bu: f64, out: *mut f64, n: usize);
-    fn nlde_rows_tolerant_avx2 = nlde_rows_tolerant_raw(
-        xs: *const f64, ys: *const f64, out: *mut f64, n: usize) -> bool;
-    fn total_min_avx2 = total_min_raw(p: *const f64, n: usize) -> f64;
-    fn exp_sum_striped_avx2 = exp_sum_striped_raw(
-        p: *const f64, n: usize, pivot: f64, cutoff: f64) -> [f64; 4];
-    fn vtc_encode_avx2 = vtc_encode_raw(
-        px: *const f64, min_pixel: f64, out: *mut f64, n: usize);
-    fn vexp_avx2 = vexp_raw(xs: *const f64, out: *mut f64, n: usize);
-    fn vln_avx2 = vln_raw(xs: *const f64, out: *mut f64, n: usize);
-    fn vln_1p_avx2 = vln_1p_raw(xs: *const f64, out: *mut f64, n: usize);
 }

@@ -1,9 +1,7 @@
-//! Property tests pinning the vector tiers against the scalar golden
-//! semantics (bit-for-bit in the identical contract, bounded error vs
-//! libm in the tolerant contract) over adversarial inputs: subnormals,
-//! `±∞`, signed zeros, never-delays, mixed lengths with remainder tails,
-//! and spreads straddling the `EXP_UNDERFLOW` cutoff used by
-//! `ops::nlse_many`.
+//! Property tests pinning the vector tiers bit-for-bit against the scalar
+//! golden semantics over adversarial inputs: subnormals, `±∞`, signed
+//! zeros, never-delays, mixed lengths with remainder tails, and values
+//! straddling the `EXP_UNDERFLOW` cutoff used by `ops::nlse_many`.
 
 #![allow(clippy::unwrap_used)]
 
@@ -133,7 +131,7 @@ proptest! {
     }
 
     #[test]
-    fn nlse_exact_rows_identical_matches_scalar(
+    fn nlse_exact_rows_match_scalar(
         pairs in proptest::collection::vec((delay(), delay()), 0..23),
         au in units(),
         bu in units(),
@@ -144,323 +142,11 @@ proptest! {
             .iter()
             .map(|&(x, y)| scalar::nlse_exact_one(x, au, y, bu))
             .collect();
-        for &tier in &tiers() {
-            let mut got = vec![0.0; a.len()];
-            ta_simd::nlse_exact_rows_in(tier, &a, au, &b, bu, false, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want), "tier {}", tier);
-        }
-    }
-
-    #[test]
-    fn nlse_exact_rows_tolerant_cross_tier_bit_identical_and_close(
-        pairs in proptest::collection::vec((delay(), delay()), 1..23),
-        au in units(),
-        bu in units(),
-    ) {
-        let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let b: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        // The scalar-tier tolerant result is the cross-tier reference.
-        let mut reference = vec![0.0; a.len()];
-        ta_simd::nlse_exact_rows_in(SimdTier::Scalar, &a, au, &b, bu, true, &mut reference);
-        for &tier in &tiers() {
-            let mut got = vec![0.0; a.len()];
-            ta_simd::nlse_exact_rows_in(tier, &a, au, &b, bu, true, &mut got);
-            prop_assert_eq!(bits(&got), bits(&reference), "tier {}", tier);
-        }
-        // And the tolerant result stays close to the libm identical one.
-        let mut exact = vec![0.0; a.len()];
-        ta_simd::nlse_exact_rows_in(SimdTier::Scalar, &a, au, &b, bu, false, &mut exact);
-        for (i, (&t, &e)) in reference.iter().zip(&exact).enumerate() {
-            if e.is_finite() && e.abs() > 1e-300 {
-                prop_assert!(
-                    ((t - e) / e).abs() < 1e-12,
-                    "idx {}: tolerant {} vs exact {}",
-                    i, t, e
-                );
-            } else {
-                prop_assert_eq!(t.to_bits(), e.to_bits(), "idx {}", i);
-            }
-        }
-    }
-
-    #[test]
-    fn nlde_rows_identical_matches_scalar(
-        pairs in proptest::collection::vec((delay(), delay()), 0..23),
-    ) {
-        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        // Bias toward the Ok branch but keep genuine error rows: sort each
-        // pair except when the raw order already errs about half the time.
-        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let want: Vec<Result<f64, ()>> = pairs
-            .iter()
-            .map(|&(x, y)| scalar::nlde_one(x, y))
-            .collect();
-        let want_err = want.iter().any(|r| r.is_err());
-        for &tier in &tiers() {
-            let mut got = vec![0.0; xs.len()];
-            let res = ta_simd::nlde_rows_in(tier, &xs, &ys, false, &mut got);
-            prop_assert_eq!(res.is_err(), want_err, "tier {}", tier);
-            if !want_err {
-                let want_vals: Vec<u64> =
-                    want.iter().map(|r| r.unwrap().to_bits()).collect();
-                prop_assert_eq!(bits(&got), want_vals, "tier {}", tier);
-            }
-        }
-    }
-
-    #[test]
-    fn nlde_rows_tolerant_error_detection_matches(
-        pairs in proptest::collection::vec((delay(), delay()), 0..23),
-    ) {
-        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let want_err = pairs.iter().any(|&(x, y)| !scalar::total_le(x, y));
-        let mut reference: Option<Vec<u64>> = None;
-        for &tier in &tiers() {
-            let mut got = vec![0.0; xs.len()];
-            let res = ta_simd::nlde_rows_in(tier, &xs, &ys, true, &mut got);
-            prop_assert_eq!(res.is_err(), want_err, "tier {}", tier);
-            if !want_err {
-                let gb = bits(&got);
-                // Tolerant lanes are still bit-identical across tiers.
-                match &reference {
-                    None => reference = Some(gb),
-                    Some(r) => prop_assert_eq!(&gb, r, "tier {}", tier),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn total_min_matches_total_order_iterator_min(xs in row()) {
-        let want = xs
-            .iter()
-            .copied()
-            .min_by(f64::total_cmp)
-            .unwrap_or(f64::INFINITY);
-        for &tier in &tiers() {
-            let got = ta_simd::total_min_in(tier, &xs);
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "tier {}", tier);
-        }
-    }
-
-    #[test]
-    fn nlse_fold_identical_matches_ops_loop(xs in row()) {
-        // Replicate ops::nlse_many on raw delays (never = +inf).
-        let m = xs
-            .iter()
-            .copied()
-            .min_by(f64::total_cmp)
-            .unwrap_or(f64::INFINITY);
-        let want = if m == f64::INFINITY {
-            f64::INFINITY
-        } else if m == f64::NEG_INFINITY || xs.len() == 1 {
-            m
-        } else {
-            let mut acc = 0.0_f64;
-            for &v in &xs {
-                if v != f64::INFINITY {
-                    let d = m - v;
-                    if d >= EXP_UNDERFLOW {
-                        acc += d.exp();
-                    }
-                }
-            }
-            if acc == 1.0 { m } else { m - acc.ln() }
-        };
-        for &tier in &tiers() {
-            let got = ta_simd::nlse_fold_in(tier, &xs, EXP_UNDERFLOW, false);
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "tier {}", tier);
-        }
-    }
-
-    #[test]
-    fn nlse_fold_tolerant_cross_tier_bit_identical_and_close(xs in row()) {
-        let reference = ta_simd::nlse_fold_in(SimdTier::Scalar, &xs, EXP_UNDERFLOW, true);
-        for &tier in &tiers() {
-            let got = ta_simd::nlse_fold_in(tier, &xs, EXP_UNDERFLOW, true);
-            prop_assert_eq!(got.to_bits(), reference.to_bits(), "tier {}", tier);
-        }
-        let exact = ta_simd::nlse_fold_in(SimdTier::Scalar, &xs, EXP_UNDERFLOW, false);
-        if exact.is_finite() && exact.abs() > 1e-300 {
-            prop_assert!(
-                ((reference - exact) / exact).abs() < 1e-11,
-                "tolerant {} vs identical {}",
-                reference, exact
-            );
-        } else {
-            prop_assert_eq!(reference.to_bits(), exact.to_bits());
-        }
-    }
-
-    #[test]
-    fn fold_spreads_within_one_ulp_of_cutoff(
-        base in -10.0..10.0_f64,
-        ulps in -1..2_i64,
-        n in 2..9_usize,
-    ) {
-        // Construct a row whose non-pivot spread lands exactly at, one ulp
-        // below, and one ulp above the underflow cutoff.
-        let spread = {
-            let exact = -EXP_UNDERFLOW;
-            let b = exact.to_bits() as i64 + ulps;
-            #[allow(clippy::cast_sign_loss)]
-            f64::from_bits(b as u64)
-        };
-        let mut xs = vec![base + spread; n];
-        xs[0] = base;
-        let m = xs
-            .iter()
-            .copied()
-            .min_by(f64::total_cmp)
-            .unwrap();
-        let mut acc = 0.0_f64;
-        for &v in &xs {
-            let d = m - v;
-            if d >= EXP_UNDERFLOW {
-                acc += d.exp();
-            }
-        }
-        let want = if acc == 1.0 { m } else { m - acc.ln() };
-        for &tier in &tiers() {
-            let got = ta_simd::nlse_fold_in(tier, &xs, EXP_UNDERFLOW, false);
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "tier {}", tier);
-        }
-    }
-
-    #[test]
-    fn vexp_close_to_libm_and_cross_tier_identical(
-        xs in proptest::collection::vec(
-            prop_oneof![
-                5 => -745.5..710.0_f64,
-                1 => Just(0.0_f64),
-                1 => Just(f64::INFINITY),
-                1 => Just(f64::NEG_INFINITY),
-                1 => Just(709.782_712_893_384_f64),
-                1 => Just(-745.133_219_101_941_2_f64),
-            ],
-            1..23,
-        ),
-    ) {
-        let mut reference = vec![0.0; xs.len()];
-        ta_simd::vexp_in(SimdTier::Scalar, &xs, &mut reference);
-        for &tier in &tiers() {
-            let mut got = vec![0.0; xs.len()];
-            ta_simd::vexp_in(tier, &xs, &mut got);
-            prop_assert_eq!(bits(&got), bits(&reference), "tier {}", tier);
-        }
-        for (i, (&r, &x)) in reference.iter().zip(&xs).enumerate() {
-            let libm = x.exp();
-            if libm.is_finite() && libm > 1e-300 {
-                prop_assert!(
-                    ((r - libm) / libm).abs() < 1e-13,
-                    "idx {}: exp({}) = {} vs libm {}",
-                    i, x, r, libm
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vln_close_to_libm_and_cross_tier_identical(
-        xs in proptest::collection::vec(
-            prop_oneof![
-                5 => 1e-6..1e6_f64,
-                1 => Just(f64::MIN_POSITIVE / 8.0),
-                1 => Just(1.0_f64),
-                1 => Just(f64::INFINITY),
-                1 => Just(0.0_f64),
-            ],
-            1..23,
-        ),
-    ) {
-        let mut reference = vec![0.0; xs.len()];
-        ta_simd::vln_in(SimdTier::Scalar, &xs, &mut reference);
-        for &tier in &tiers() {
-            let mut got = vec![0.0; xs.len()];
-            ta_simd::vln_in(tier, &xs, &mut got);
-            prop_assert_eq!(bits(&got), bits(&reference), "tier {}", tier);
-        }
-        for (i, (&r, &x)) in reference.iter().zip(&xs).enumerate() {
-            let libm = x.ln();
-            if libm.is_finite() && libm.abs() > 1e-12 {
-                prop_assert!(
-                    ((r - libm) / libm).abs() < 1e-13,
-                    "idx {}: ln({}) = {} vs libm {}",
-                    i, x, r, libm
-                );
-            } else {
-                prop_assert!(
-                    (r - libm).abs() < 1e-13 || r.to_bits() == libm.to_bits(),
-                    "idx {}: ln({}) = {} vs libm {}",
-                    i, x, r, libm
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vln_1p_close_to_libm_and_preserves_signed_zero(
-        xs in proptest::collection::vec(
-            prop_oneof![
-                5 => -0.999..1e3_f64,
-                1 => Just(0.0_f64),
-                1 => Just(-0.0_f64),
-                1 => Just(f64::INFINITY),
-                1 => Just(f64::MIN_POSITIVE / 8.0),
-            ],
-            1..23,
-        ),
-    ) {
-        let mut reference = vec![0.0; xs.len()];
-        ta_simd::vln_1p_in(SimdTier::Scalar, &xs, &mut reference);
-        for &tier in &tiers() {
-            let mut got = vec![0.0; xs.len()];
-            ta_simd::vln_1p_in(tier, &xs, &mut got);
-            prop_assert_eq!(bits(&got), bits(&reference), "tier {}", tier);
-        }
-        for (i, (&r, &x)) in reference.iter().zip(&xs).enumerate() {
-            let libm = x.ln_1p();
-            if x == 0.0 {
-                // ln_1p(±0) must round-trip the zero's sign bit, like libm.
-                prop_assert_eq!(r.to_bits(), x.to_bits(), "idx {}", i);
-            } else if libm.is_finite() && libm.abs() > 1e-12 {
-                prop_assert!(
-                    ((r - libm) / libm).abs() < 1e-12,
-                    "idx {}: ln_1p({}) = {} vs libm {}",
-                    i, x, r, libm
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vtc_encode_cross_tier_identical_and_close_to_libm(
-        px in proptest::collection::vec(
-            prop_oneof![
-                6 => -0.2..1.2_f64,
-                1 => Just(0.0_f64),
-                1 => Just(1.0_f64),
-                1 => Just(-0.0_f64),
-            ],
-            1..23,
-        ),
-        min_pixel in prop_oneof![Just(1e-3_f64), Just(1e-6_f64)],
-    ) {
-        let mut reference = vec![0.0; px.len()];
-        ta_simd::vtc_encode_rows_in(SimdTier::Scalar, &px, min_pixel, &mut reference);
-        for &tier in &tiers() {
-            let mut got = vec![0.0; px.len()];
-            ta_simd::vtc_encode_rows_in(tier, &px, min_pixel, &mut got);
-            prop_assert_eq!(bits(&got), bits(&reference), "tier {}", tier);
-        }
-        for (i, (&r, &p)) in reference.iter().zip(&px).enumerate() {
-            let libm = -p.clamp(min_pixel, 1.0).ln();
-            prop_assert!(
-                (r - libm).abs() < 1e-12 * libm.abs().max(1.0),
-                "idx {}: encode({}) = {} vs libm {}",
-                i, p, r, libm
-            );
-        }
+        let mut got = vec![0.0; a.len()];
+        ta_simd::nlse_exact_rows(&a, au, &b, bu, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+        let mut acc = b.clone();
+        ta_simd::nlse_exact_rows_inplace(&a, au, &mut acc, bu);
+        prop_assert_eq!(bits(&acc), bits(&want), "inplace");
     }
 }
